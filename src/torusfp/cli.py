@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -325,6 +326,9 @@ def _run_one(args_tuple) -> tuple[str, int]:
 def cmd_sweep(config_paths: list[Path], out_root: Path, seed: int | None, quiet: bool, jobs: int) -> int:
     from concurrent.futures import ProcessPoolExecutor
 
+    if jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {jobs}")
+    jobs = min(jobs, len(config_paths), os.cpu_count() or 1)
     tasks = []
     for cp in config_paths:
         out_dir = out_root / cp.stem

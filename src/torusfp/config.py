@@ -3,12 +3,14 @@
 
 Coefficient entries are expression strings (D, pi, phi, f0) or snapshot-CSV
 tables (D_table, pi_table, phi_table, f0_table; paths relative to the config
-file).  See the README for the full key list.
+file).  See the README for the full key list.  A section or key the loader
+never reads is rejected as a typo, naming the nearest one it does read.
 """
 
 from __future__ import annotations
 
 import configparser
+import difflib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -57,10 +59,41 @@ class RunConfig:
     source_text: str = ""
 
 
-def _get(cp, section, key, cast, default):
-    if not cp.has_section(section) or not cp.has_option(section, key):
+class _Sections:
+    """The parsed config as plain dicts.  Every lookup is recorded, so that
+    the sections and keys the loader never looks up can be rejected as typos."""
+
+    def __init__(self, parser: configparser.ConfigParser):
+        self.values = {s: dict(parser.items(s)) for s in parser.sections()}
+        self.asked: set[tuple[str, str]] = set()
+
+    def lookup(self, section: str, key: str) -> str | None:
+        key = key.lower()  # configparser's key normalisation
+        self.asked.add((section, key))
+        return self.values.get(section, {}).get(key)
+
+    def reject_unknown(self, path: Path):
+        """Raise UsageError for the first section or key never looked up."""
+        known_sections = {s for s, _ in self.asked}
+        for section in self.values:
+            if section not in known_sections:
+                raise UsageError(f"config {path}: unknown section [{section}]{_hint(section, known_sections)}")
+        unknown = {(s, k) for s, keys in self.values.items() for k in keys} - self.asked
+        if unknown:
+            section, key = min(unknown)
+            known = {k for s, k in self.asked if s == section}
+            raise UsageError(f"config {path}: unknown key {key!r} in [{section}]{_hint(key, known)}")
+
+
+def _hint(name: str, known) -> str:
+    close = difflib.get_close_matches(name, sorted(known), n=1)
+    return f"; did you mean {close[0]!r}?" if close else ""
+
+
+def _get(cp: _Sections, section, key, cast, default):
+    raw = cp.lookup(section, key)
+    if raw is None:
         return default
-    raw = cp.get(section, key)
     try:
         if cast is bool:
             return raw.strip().lower() in ("1", "true", "yes", "on")
@@ -69,15 +102,17 @@ def _get(cp, section, key, cast, default):
         raise UsageError(f"config [{section}] {key} = {raw!r}: {err}") from err
 
 
-def _coefficient(cp, section, name, base: Path, grid: TorusGrid):
+def _coefficient(cp: _Sections, section, name, base: Path, grid: TorusGrid):
     table_key = f"{name}_table"
-    if cp.has_option(section, table_key):
-        path = base / cp.get(section, table_key)
+    table = _get(cp, section, table_key, str, None)
+    expr = _get(cp, section, name, str, None)
+    if table is not None:
+        path = base / table
         if not path.exists():
             raise UsageError(f"table file not found: {path}")
         return load_field_csv(path, grid)
-    if cp.has_option(section, name):
-        return ex.parse_expr(cp.get(section, name))
+    if expr is not None:
+        return ex.parse_expr(expr)
     raise UsageError(f"config section [{section}] must define {name} or {table_key}")
 
 
@@ -87,14 +122,22 @@ def load_config(path) -> RunConfig:
     if not path.exists():
         raise UsageError(f"config file not found: {path}")
     text = path.read_text()
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        cp.read_string(text)
+        parser.read_string(text)
+        cp = _Sections(parser)
     except configparser.Error as err:
         raise UsageError(f"malformed config {path}: {err}") from err
+    if parser.defaults():
+        # its keys would land in every section and be reported there
+        raise UsageError(f"config {path}: unknown section [{parser.default_section}]")
 
     for section in ("grid", "coefficients", "initial", "run"):
-        if not cp.has_section(section):
+        if section not in cp.values:
+            # a present section whose name is close is the likelier mistake
+            typo = difflib.get_close_matches(section, list(cp.values), n=1)
+            if typo:
+                raise UsageError(f"config {path}: unknown section [{typo[0]}]; did you mean {section!r}?")
             raise UsageError(f"config {path} is missing the [{section}] section")
 
     dim = _get(cp, "grid", "dim", int, 1)
@@ -159,7 +202,7 @@ def load_config(path) -> RunConfig:
         integral_times=integral_times,
         integral_substeps=_get(cp, "kernel", "integral_substeps", int, 64),
     )
-    return RunConfig(
+    run = RunConfig(
         problem=problem,
         fv=fv,
         picard=picard,
@@ -169,3 +212,5 @@ def load_config(path) -> RunConfig:
         source_path=path,
         source_text=text,
     )
+    cp.reject_unknown(path)
+    return run

@@ -179,19 +179,22 @@ def _implicit_step(
         lam = 1.0
         for _ in range(30):
             trial = u + lam * delta
+            norm_trial = math.inf
             if np.min(trial) > 0:
                 g_trial = residual(trial)
                 norm_trial = float(np.max(np.abs(g_trial)))
-                if norm_trial < norm:
-                    u, g, norm = trial, g_trial, norm_trial
-                    break
+            # at the floor, a step that cannot lower the residual is roundoff:
+            # halving it further cannot help either
+            if norm_trial < norm or norm <= floor:
+                break
             lam *= 0.5
         else:
-            if norm <= floor:
-                break
             raise NumericsError(
                 f"Newton damping failed at t={t_new:.6g} (residual {norm:.3g})"
             )
+        if norm_trial >= norm:
+            break
+        u, g, norm = trial, g_trial, norm_trial
     else:
         if norm > floor:
             raise NumericsError(

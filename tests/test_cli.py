@@ -2,8 +2,10 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from torusfp.cli import main
+from torusfp.config import load_config
 from torusfp.grid import load_field_csv
 
 HEAT = """\
@@ -245,6 +247,75 @@ def test_sweep_propagates_worst_exit_code(tmp_path):
         ["sweep", "--configs", str(a), str(b), "--out", str(tmp_path / "s"), "--jobs", "1", "--quiet"]
     )
     assert code == 2
+
+
+def test_sweep_clamps_jobs(tmp_path, monkeypatch):
+    seen = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records max_workers, starts nothing."""
+
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [(task[0], 0) for task in tasks]
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+    configs = [str(tmp_path / f"c{i}.ini") for i in range(3)]
+    sweep = ["sweep", "--out", str(tmp_path / "s"), "--quiet", "--configs"]
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    assert main([*sweep, *configs, "--jobs", "8"]) == 0
+    monkeypatch.setattr("os.cpu_count", lambda: 64)
+    assert main([*sweep, *configs, "--jobs", "8"]) == 0
+    assert main([*sweep, *configs[:2], "--jobs", "8"]) == 0
+    assert seen == [2, 3, 2]
+
+
+def test_sweep_rejects_nonpositive_jobs(tmp_path, capsys):
+    a = write(tmp_path, "a.ini", HEAT)
+    code = main(["sweep", "--configs", str(a), "--out", str(tmp_path / "s"), "--jobs", "0", "--quiet"])
+    assert code == 1
+    assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize(
+    "text, bad, hint",
+    [
+        (HEAT.replace("t_final", "t_fianl"), "'t_fianl'", "'t_final'"),
+        (HEAT.replace("[run]", "[rn]"), "[rn]", "'run'"),
+        (HEAT + "\n[rn]\nstepper = explicit\n", "[rn]", "'run'"),
+        ("[DEFAULT]\nseed = 3\n" + HEAT, "[DEFAULT]", None),
+    ],
+    ids=["key", "section-instead", "section-extra", "default-section"],
+)
+def test_config_typo_is_rejected(tmp_path, capsys, text, bad, hint):
+    cfg = write(tmp_path, "typo.ini", text)
+    code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "code=1" in err and bad in err
+    assert (f"did you mean {hint}" in err) if hint else ("did you mean" not in err)
+
+
+def test_config_bad_interpolation_exits_one(tmp_path, capsys):
+    cfg = write(tmp_path, "pct.ini", HEAT.replace("t_final = 0.05", "t_final = 5%"))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert "malformed config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "path", sorted((Path(__file__).parents[1] / "configs").glob("*.ini")), ids=lambda p: p.name
+)
+def test_shipped_configs_load(path):
+    assert load_config(path).source_path == path
 
 
 def test_usage_error_without_subcommand():
