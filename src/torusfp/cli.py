@@ -185,11 +185,7 @@ def cmd_bounds(run: RunConfig, out: _Out) -> int:
 def cmd_picard(run: RunConfig, out: _Out) -> int:
     c = build_coefficients(run.problem)
     f0 = sample_initial_data(run.problem)
-    rep = validate_assumptions(c, f0, run.problem)
-    if not rep.all_pass:
-        names = ", ".join(ch.name for ch in rep.failing())
-        details = "; ".join(ch.witness for ch in rep.failing())
-        raise AssumptionError(f"assumption(s) {names} fail: {details}")
+    validate_assumptions(c, f0, run.problem).require()
     space = picard_space(f0, c, safety=run.picard.safety)
     log: list = []
     traj, report = fixed_point_solve(

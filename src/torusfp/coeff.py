@@ -31,9 +31,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Tolerances:
-    quadrature: float = 1e-12
     root: float = 1e-12
-    dt_safety: float = 0.9
 
 
 @dataclass(frozen=True)
@@ -270,13 +268,26 @@ class AssumptionReport:
     def rows(self) -> list:
         return [(c.name, "pass" if c.passed else "fail", c.witness, c.value) for c in self.checks]
 
+    def require(self) -> None:
+        """Raise AssumptionError naming each failing check and its witness."""
+        if not self.all_pass:
+            names = ", ".join(ch.name for ch in self.failing())
+            details = "; ".join(ch.witness for ch in self.failing())
+            raise AssumptionError(f"assumption(s) {names} fail: {details}")
 
-def resolved_mu(spec: ProblemSpec, f0: Field) -> float:
-    return spec.mu if spec.mu is not None else float(np.min(f0.values)) / 4.0
+
+def resolved_mu(spec: ProblemSpec | None, f0: Field) -> float:
+    """The configured mu, else min(f0)/4."""
+    if spec is not None and spec.mu is not None:
+        return spec.mu
+    return float(np.min(f0.values)) / 4.0
 
 
-def resolved_lambda(spec: ProblemSpec, f0: Field) -> float:
-    return spec.lam if spec.lam is not None else float(np.max(f0.values))
+def resolved_lambda(spec: ProblemSpec | None, f0: Field) -> float:
+    """The configured lambda, else max(f0)."""
+    if spec is not None and spec.lam is not None:
+        return spec.lam
+    return float(np.max(f0.values))
 
 
 def validate_assumptions(c: CoefficientSet, f0: Field, spec: ProblemSpec) -> AssumptionReport:
@@ -322,14 +333,15 @@ def validate_assumptions(c: CoefficientSet, f0: Field, spec: ProblemSpec) -> Ass
 
     fmin = float(np.min(f0.values))
     fmax = float(np.max(f0.values))
-    ok3 = fmin >= 4 * mu and fmax <= lam
+    # 0 < 4*mu also catches non-positive f0 under the default mu = min(f0)/4
+    ok3 = 0 < 4 * mu <= fmin and fmax <= lam
     kmin = int(np.argmin(f0.values))
     checks.append(
         AssumptionCheck(
             "A3",
             ok3,
-            f"min f0 = {fmin:.12g} at {c.grid.point(kmin)} vs 4*mu = {4 * mu:.12g}; "
-            f"max f0 = {fmax:.12g} vs lam = {lam:.12g}",
+            f"min f0 = {fmin:.12g} at {c.grid.point(kmin)} vs 4*mu = {4 * mu:.12g} "
+            f"(need 0 < 4*mu <= min f0); max f0 = {fmax:.12g} vs lam = {lam:.12g}",
             fmin,
         )
     )

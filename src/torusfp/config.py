@@ -152,11 +152,6 @@ def load_config(path) -> RunConfig:
     phi_coeff = _coefficient(cp, "coefficients", "phi", base, grid)
     f0 = _coefficient(cp, "initial", "f0", base, grid)
 
-    tol = Tolerances(
-        quadrature=_get(cp, "tolerances", "quadrature", float, 1e-12),
-        root=_get(cp, "tolerances", "root", float, 1e-12),
-        dt_safety=_get(cp, "run", "dt_safety", float, 0.9),
-    )
     problem = ProblemSpec(
         dim=dim,
         n_per_axis=n,
@@ -168,10 +163,10 @@ def load_config(path) -> RunConfig:
         mu=_get(cp, "run", "mu", float, None),
         lam=_get(cp, "run", "lambda", float, None),
         beta_declared=_get(cp, "run", "beta", float, 0.5),
-        tolerances=tol,
+        tolerances=Tolerances(root=_get(cp, "tolerances", "root", float, 1e-12)),
     )
     fv = FVConfig(
-        dt_safety=tol.dt_safety,
+        dt_safety=_get(cp, "run", "dt_safety", float, 0.9),
         stepper=_get(cp, "run", "stepper", str, "implicit"),
         max_newton_iter=_get(cp, "run", "max_newton_iter", int, 30),
         newton_tol=_get(cp, "run", "newton_tol", float, 1e-13),

@@ -39,11 +39,6 @@ __all__ = [
 ]
 
 
-def _neighbor_index(grid: TorusGrid, shift: int, axis: int) -> np.ndarray:
-    idx = np.arange(grid.n_cells).reshape(grid.shape)
-    return np.roll(idx, -shift, axis=grid.numpy_axis(axis)).ravel()
-
-
 def assemble_lfp(c: CoefficientSet, grid: TorusGrid, t: float) -> sparse.csr_matrix:
     """Sparse divergence-form operator: face-averaged D/pi diffusion,
     central grad(phi)/pi drift, and the zeroth-order coefficient W."""
@@ -60,8 +55,8 @@ def assemble_lfp(c: CoefficientSet, grid: TorusGrid, t: float) -> sparse.csr_mat
     diag = w.copy()
     eye = np.arange(n)
     for axis in range(grid.dim):
-        up = _neighbor_index(grid, +1, axis)
-        dn = _neighbor_index(grid, -1, axis)
+        up = grid.neighbors(+1, axis)
+        dn = grid.neighbors(-1, axis)
         a_up = 0.5 * (a + a[up]) / h**2
         a_dn = 0.5 * (a + a[dn]) / h**2
         b = grad_phi.components[axis] / pi_vals / (2.0 * h)
@@ -159,10 +154,6 @@ class Propagator:
     def min_entry(self) -> float:
         return float(np.min(self.matrix))
 
-    @property
-    def suspicious(self) -> bool:
-        return self.min_entry < -1e-10
-
     def row_masses(self) -> np.ndarray:
         return self.grid.h**self.grid.dim * np.sum(self.matrix, axis=1)
 
@@ -223,11 +214,10 @@ def _row_gradients(matrix: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """(N, dim, N) array: central y-gradient of every kernel row."""
     n = grid.n_cells
     out = np.empty((n, grid.dim, n))
-    resh = matrix.reshape((n,) + grid.shape)
     for axis in range(grid.dim):
-        np_ax = 1 + grid.numpy_axis(axis)
-        d = (np.roll(resh, -1, axis=np_ax) - np.roll(resh, 1, axis=np_ax)) / (2.0 * grid.h)
-        out[:, axis, :] = d.reshape(n, n)
+        up = grid.neighbors(+1, axis)
+        dn = grid.neighbors(-1, axis)
+        out[:, axis, :] = (matrix[:, up] - matrix[:, dn]) / (2.0 * grid.h)
     return out
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeff import CoefficientSet
+from .coeff import CoefficientSet, resolved_lambda, resolved_mu
 from .equilibrium import apriori_bounds, equilibrium_state
 from .errors import AssumptionError, NumericsError, UsageError
 from .grid import Field, Trajectory, VectorField, divergence, gradient, integrate, sup_norm
@@ -43,21 +43,15 @@ __all__ = [
 def time_bound(
     mu: float, f0_norm: float, c_gauss: float, v_norm: float, w_inf: float, w_sup: float
 ) -> float:
-    """Explicit local existence horizon T.
+    """Explicit local existence horizon T: the window horizon T' of
+    ``time_bound_primed`` with m = inf and M = 0.
 
     sqrt(T) is the smaller of the contraction branch
     min(mu,1) / (2 (C R (2R/mu + |log mu| + 1) ||V|| + 1)) with
     R = 1 + mu + 2||f0||, and the row-mass branch
     sqrt(log 2 / (|W_inf| + |W_sup| + 1)).
     """
-    if mu <= 0:
-        raise UsageError(f"mu must be positive, got {mu}")
-    r = 1.0 + mu + 2.0 * f0_norm
-    branch1 = min(mu, 1.0) / (
-        2.0 * (c_gauss * r * (2.0 * r / mu + abs(math.log(mu)) + 1.0) * v_norm + 1.0)
-    )
-    branch2 = math.sqrt(math.log(2.0) / (abs(w_inf) + abs(w_sup) + 1.0))
-    return min(branch1, branch2) ** 2
+    return time_bound_primed(mu, math.inf, 0.0, f0_norm, c_gauss, v_norm, w_inf, w_sup)[0]
 
 
 def time_bound_primed(
@@ -76,7 +70,7 @@ def time_bound_primed(
     Returns (T', R', gamma).
     """
     if mu <= 0 or m <= 0:
-        raise UsageError("mu and m must be positive")
+        raise UsageError(f"mu and m must be positive, got mu={mu}, m={m}")
     gamma = min(mu, m / 4.0)
     r_prime = 1.0 + mu + 2.0 * f0_norm + 2.0 * big_m
     branch1 = min(mu, 1.0, m / 4.0) / (
@@ -121,18 +115,8 @@ def picard_space(
     kernel and the horizon additionally shrinks by ``safety``; when V
     vanishes the formula does not involve C and the horizon is used as is.
     """
-    if mu is None:
-        mu = (
-            c.problem.mu
-            if c.problem is not None and c.problem.mu is not None
-            else float(np.min(f0.values)) / 4.0
-        )
-    if lam is None:
-        lam = (
-            c.problem.lam
-            if c.problem is not None and c.problem.lam is not None
-            else float(np.max(f0.values))
-        )
+    mu = resolved_mu(c.problem, f0) if mu is None else mu
+    lam = resolved_lambda(c.problem, f0) if lam is None else lam
     v_norm = c.v_sup_norm()
     if c_gauss is None:
         c_gauss = fit_duhamel_constant(c, c.grid) if v_norm > 0 else 1.0
@@ -150,12 +134,8 @@ def picard_space(
     )
 
 
-def _check_in_y(values: np.ndarray, space: PicardSpace) -> tuple[float, float]:
-    return float(np.min(values)), float(np.max(np.abs(values)))
-
-
 def _require_in_y(values: np.ndarray, space: PicardSpace, slack: float, what: str):
-    vmin, vsup = _check_in_y(values, space)
+    vmin, vsup = float(np.min(values)), float(np.max(np.abs(values)))
     if vmin < space.mu - slack or vsup > space.R + slack:
         raise NumericsError(
             f"{what} leaves Y: min={vmin:.6g} (mu={space.mu:.6g}), "
@@ -287,7 +267,7 @@ def _fixed_point_values(
         iterations += 1
         d = float(np.max(np.abs(unew - u)))
         diffs.append(d)
-        vmin, vsup = _check_in_y(unew, space)
+        vmin, vsup = float(np.min(unew)), float(np.max(np.abs(unew)))
         if iteration_log is not None:
             ratio = diffs[-1] / diffs[-2] if len(diffs) >= 2 and diffs[-2] > 0 else float("nan")
             iteration_log.append(
@@ -464,16 +444,8 @@ def global_solve(
     if c.problem is not None:
         from .coeff import validate_assumptions
 
-        rep = validate_assumptions(c, f0, c.problem)
-        if not rep.all_pass:
-            names = ", ".join(ch.name for ch in rep.failing())
-            raise AssumptionError(f"assumption(s) {names} fail: cannot start the global solve")
-    if mu is None:
-        mu = (
-            c.problem.mu
-            if c.problem is not None and c.problem.mu is not None
-            else float(np.min(f0.values)) / 4.0
-        )
+        validate_assumptions(c, f0, c.problem).require()
+    mu = resolved_mu(c.problem, f0) if mu is None else mu
     mass = integrate(f0)
     eq = equilibrium_state(c, mass)
     bnd = apriori_bounds(f0, eq, c)
@@ -499,11 +471,7 @@ def global_solve(
         m=bnd.m, M=bnd.M, R_prime=r_prime, gamma=gamma, T_prime=t_prime, num_windows=nw
     )
 
-    lam = (
-        c.problem.lam
-        if c.problem is not None and c.problem.lam is not None
-        else float(np.max(f0.values))
-    )
+    lam = resolved_lambda(c.problem, f0)
     stepper = ImplicitStepper(c, c.grid)
     cur = f0.values
     seam_times = [0.0]

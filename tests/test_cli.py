@@ -118,6 +118,16 @@ def test_simulate_assumption_failure_names_a4(tmp_path, capsys):
     assert "code=2" in err
 
 
+@pytest.mark.parametrize("command", ["simulate", "picard", "global"])
+def test_nonpositive_f0_fails_a3_with_default_mu(tmp_path, capsys, command):
+    # the default mu = min(f0)/4 is negative here, so A3 must fail on 0 < 4*mu
+    cfg = write(tmp_path, "neg.ini", COSINE.replace("f0 = 1", "f0 = 0.5 + cos(2*pi*x1)"))
+    code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "code=2" in err and "A3" in err
+
+
 def test_missing_config_exits_one(tmp_path, capsys):
     code = main(["simulate", "--config", str(tmp_path / "nope.ini")])
     assert code == 1
@@ -293,8 +303,9 @@ def test_sweep_rejects_nonpositive_jobs(tmp_path, capsys):
         (HEAT.replace("[run]", "[rn]"), "[rn]", "'run'"),
         (HEAT + "\n[rn]\nstepper = explicit\n", "[rn]", "'run'"),
         ("[DEFAULT]\nseed = 3\n" + HEAT, "[DEFAULT]", None),
+        (HEAT + "\n[tolerances]\nquadrature = 1e-12\n", "'quadrature' in [tolerances]", None),
     ],
-    ids=["key", "section-instead", "section-extra", "default-section"],
+    ids=["key", "section-instead", "section-extra", "default-section", "removed-key"],
 )
 def test_config_typo_is_rejected(tmp_path, capsys, text, bad, hint):
     cfg = write(tmp_path, "typo.ini", text)
@@ -316,6 +327,14 @@ def test_config_bad_interpolation_exits_one(tmp_path, capsys):
 )
 def test_shipped_configs_load(path):
     assert load_config(path).source_path == path
+
+
+def test_readme_config_block_loads(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    run = load_config(write(tmp_path, "readme.ini", block))
+    assert run.problem.n_per_axis == 128
+    assert run.kernel.integral_substeps == 64
 
 
 def test_usage_error_without_subcommand():

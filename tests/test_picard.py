@@ -24,11 +24,32 @@ from torusfp.picard import (
 )
 
 
+def _unprimed_horizon(mu, f0_norm, c_gauss, v_norm, w_inf, w_sup):
+    # the stand-alone formula for T, kept as the reference for T = T'(m = inf, M = 0)
+    r = 1.0 + mu + 2.0 * f0_norm
+    branch1 = min(mu, 1.0) / (
+        2.0 * (c_gauss * r * (2.0 * r / mu + abs(math.log(mu)) + 1.0) * v_norm + 1.0)
+    )
+    branch2 = math.sqrt(math.log(2.0) / (abs(w_inf) + abs(w_sup) + 1.0))
+    return min(branch1, branch2) ** 2
+
+
 def test_time_bound_examples():
     assert time_bound(1.0, 1.0, 123.0, 0.0, 0.0, 0.0) == 0.25
     assert time_bound(1.0, 1.0, 1.0, 0.0, -10.0, 10.0) == pytest.approx(
         math.log(2) / 21, rel=1e-14
     )
+    # bit for bit the stand-alone formula, on a sweep spanning both
+    # branches and mu on either side of 1
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        mu = 10.0 ** rng.uniform(-4, 1)
+        f0_norm = rng.uniform(0.0, 10.0)
+        c_gauss = 10.0 ** rng.uniform(-1, 2)
+        v_norm = 0.0 if rng.random() < 0.2 else 10.0 ** rng.uniform(-3, 2)
+        w_inf, w_sup = -rng.uniform(0, 50), rng.uniform(0, 50)
+        args = (mu, f0_norm, c_gauss, v_norm, w_inf, w_sup)
+        assert time_bound(*args) == _unprimed_horizon(*args)
 
 
 def test_time_bound_monotone_in_v_norm():
