@@ -20,13 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .coeff import (
-    build_coefficients,
-    resolved_lambda,
-    resolved_mu,
-    sample_initial_data,
-    validate_assumptions,
-)
+from .coeff import build_coefficients, sample_initial_data, validate_assumptions
 from .config import RunConfig, load_config
 from .equilibrium import apriori_bounds, equilibrium_state, free_energy
 from .errors import AssumptionError, NumericsError, TorusFPError, UsageError
@@ -34,18 +28,12 @@ from .fvsolver import simulate
 from .grid import Field, integrate, save_field_csv, sup_norm
 from .kernel import (
     build_propagator,
-    fit_duhamel_constant,
+    fit_duhamel_constant,  # unused here, but perfbench/tracing.py patches cli.fit_duhamel_constant
     validate_gaussian_bounds,
     validate_integral_bounds,
     validate_mass_sandwich,
 )
-from .picard import (
-    fixed_point_solve,
-    global_solve,
-    picard_space,
-    time_bound,
-    time_bound_primed,
-)
+from .picard import fixed_point_solve, global_solve, picard_space, time_bound_primed
 
 _EXIT_OK = 0
 _EXIT_USAGE = 1
@@ -140,7 +128,7 @@ def cmd_simulate(run: RunConfig, out: _Out) -> int:
 def cmd_equilibrium(run: RunConfig, out: _Out) -> int:
     c = build_coefficients(run.problem)
     f0 = sample_initial_data(run.problem)
-    eq = equilibrium_state(c, integrate(f0), root_tol=run.problem.tolerances.root)
+    eq = equilibrium_state(c, integrate(f0))
     row = (
         eq.C_eq,
         eq.mass,
@@ -157,24 +145,24 @@ def cmd_equilibrium(run: RunConfig, out: _Out) -> int:
 
 
 def cmd_bounds(run: RunConfig, out: _Out) -> int:
-    # diagnostic command: prints the constants of the existence construction
-    # without gating on the initial-data assumption (mu may be exploratory)
+    # diagnostic command: prints the constants of the existence construction;
+    # mu and lambda may be exploratory, so of the initial-data assumption A3
+    # it requires only f0 > 0, which the a priori bounds need
     c = build_coefficients(run.problem)
     f0 = sample_initial_data(run.problem)
-    mu = resolved_mu(run.problem, f0)
-    lam = resolved_lambda(run.problem, f0)
-    eq = equilibrium_state(c, integrate(f0), root_tol=run.problem.tolerances.root)
-    bnd = apriori_bounds(f0, eq, c)
-    v_norm = c.v_sup_norm()
-    c_gauss = fit_duhamel_constant(c, c.grid) if v_norm > 0 else 1.0
-    f0n = sup_norm(f0)
-    t_val = time_bound(mu, f0n, c_gauss, v_norm, c.W_inf, c.W_sup)
+    fmin = float(np.min(f0.values))
+    if fmin <= 0:
+        raise AssumptionError(f"assumption(s) A3 fail: min f0 = {fmin:.12g} (need f0 > 0)")
+    space = picard_space(f0, c, safety=1.0)
+    bnd = apriori_bounds(f0, equilibrium_state(c, integrate(f0)), c)
     t_prime, r_prime, gamma = time_bound_primed(
-        mu, bnd.m, bnd.M, f0n, c_gauss, v_norm, c.W_inf, c.W_sup
+        space.mu, bnd.m, bnd.M, sup_norm(f0), space.C_gauss, space.V_norm, c.W_inf, c.W_sup
     )
-    r_val = 1.0 + mu + 2.0 * f0n
     cols = "mu,lambda,C_gauss,V_norm,W_inf,W_sup,m,M,R,R_prime,gamma,T,T_prime"
-    row = (mu, lam, c_gauss, v_norm, c.W_inf, c.W_sup, bnd.m, bnd.M, r_val, r_prime, gamma, t_val, t_prime)
+    row = (
+        space.mu, space.Lambda, space.C_gauss, space.V_norm, c.W_inf, c.W_sup,
+        bnd.m, bnd.M, space.R, r_prime, gamma, space.T, t_prime,
+    )
     out.csv("bounds.csv", cols, [row])
     out.manifest()
     out.say(cols)

@@ -55,7 +55,6 @@ class ProblemSpec:
     lam: float | None = None
     beta_declared: float = 0.5
     tolerances: Tolerances = field(default_factory=Tolerances)
-    time_samples: int = 64
 
     def __post_init__(self):
         if self.T_final <= 0:
@@ -144,9 +143,13 @@ class CoefficientSet:
         return _time_samples(self.problem)
 
 
+# interior time samples of a time-dependent mobility
+_TIME_SAMPLES = 64
+
+
 def _time_samples(spec: ProblemSpec) -> np.ndarray:
     # uniform interior samples plus both endpoints
-    return np.linspace(0.0, spec.T_final, spec.time_samples + 2)
+    return np.linspace(0.0, spec.T_final, _TIME_SAMPLES + 2)
 
 
 def build_coefficients(spec: ProblemSpec) -> CoefficientSet:

@@ -77,11 +77,11 @@ def assemble_lfp(c: CoefficientSet, grid: TorusGrid, t: float) -> sparse.csr_mat
 
 
 class ImplicitStepper:
-    """Backward-Euler substepping engine with LU reuse.
+    """Backward-Euler stepping engine with LU reuse.
 
-    For a time-independent mobility every substep shares one factorization
-    per distinct dt; otherwise the operator is refactored at each substep
-    midpoint.
+    Each step freezes the coefficients at its midpoint.  For a
+    time-independent mobility every step shares one factorization per
+    distinct dt; otherwise the operator is refactored at each step.
     """
 
     def __init__(self, c: CoefficientSet, grid: TorusGrid):
@@ -90,17 +90,13 @@ class ImplicitStepper:
         self._lu_cache: dict[float, object] = {}
 
     def _lu(self, t_mid: float, dt: float):
-        if self.c.time_independent_pi:
-            lu = self._lu_cache.get(dt)
-            if lu is None:
-                L = assemble_lfp(self.c, self.grid, 0.0)
-                m = sparse.identity(self.grid.n_cells, format="csc") - dt * L.tocsc()
-                lu = self._factor(m)
+        lu = self._lu_cache.get(dt)
+        if lu is None:
+            L = assemble_lfp(self.c, self.grid, t_mid)
+            lu = self._factor(sparse.identity(self.grid.n_cells, format="csc") - dt * L.tocsc())
+            if self.c.time_independent_pi:
                 self._lu_cache[dt] = lu
-            return lu
-        L = assemble_lfp(self.c, self.grid, t_mid)
-        m = sparse.identity(self.grid.n_cells, format="csc") - dt * L.tocsc()
-        return self._factor(m)
+        return lu
 
     @staticmethod
     def _factor(m):
@@ -111,20 +107,16 @@ class ImplicitStepper:
                 f"singular implicit solve, assumptions A1/A4 likely violated: {err}"
             ) from err
 
-    def advance(self, values: np.ndarray, t0: float, t1: float, substeps: int) -> np.ndarray:
-        """Advance raw values from t0 to t1 in the given number of substeps."""
+    def advance(self, values: np.ndarray, t0: float, t1: float) -> np.ndarray:
+        """Advance raw values from t0 to t1 in one backward-Euler step."""
         if t1 <= t0:
             raise UsageError("advance requires t1 > t0")
-        dt = (t1 - t0) / substeps
+        dt = t1 - t0
         if not self.c.time_independent_pi and dt > 1e-2:
             raise UsageError(
-                f"time-dependent mobility requires substeps with dt <= 1e-2, got {dt:.3g}"
+                f"time-dependent mobility requires steps with dt <= 1e-2, got {dt:.3g}"
             )
-        out = values
-        for k in range(substeps):
-            lu = self._lu(t0 + (k + 0.5) * dt, dt)
-            out = lu.solve(out)
-        return out
+        return self._lu(t0 + 0.5 * dt, dt).solve(values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,7 +175,7 @@ def build_propagator(
     op = np.eye(n)
     ladder = []
     for k in range(substeps):
-        op = stepper.advance(op, s + k * dt, s + (k + 1) * dt, 1)
+        op = stepper.advance(op, s + k * dt, s + (k + 1) * dt)
         if keep_ladder and (k + 1) % ladder_stride == 0:
             ladder.append((s + (k + 1) * dt, op / hdim))
     matrix = op / hdim

@@ -11,7 +11,7 @@ with the gradient-of-kernel form by the adjointness of the grid calculus.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,6 +38,9 @@ __all__ = [
     "rhs_expanded_form",
     "pde_residual",
 ]
+
+# global_solve refuses window counts above this
+_MAX_WINDOWS = 200_000
 
 
 def time_bound(
@@ -100,38 +103,45 @@ class PicardSpace:
     V_norm: float
 
 
-def picard_space(
-    f0: Field,
-    c: CoefficientSet,
-    mu: float | None = None,
-    lam: float | None = None,
-    c_gauss: float | None = None,
-    safety: float = 0.5,
-) -> PicardSpace:
-    """Build the solver's operating space by policy.
+def _horizon(
+    f0: Field, c: CoefficientSet, mu: float, m: float, big_m: float, safety: float
+) -> tuple[PicardSpace, float]:
+    """The horizon rule shared by ``picard_space`` and ``global_solve``.
 
-    mu defaults to min(f0)/4 (the largest value the initial-data assumption
-    permits).  When V is nonzero, C_gauss is fitted from the actual discrete
-    kernel and the horizon additionally shrinks by ``safety``; when V
-    vanishes the formula does not involve C and the horizon is used as is.
+    When V is nonzero, C_gauss is fitted from the actual discrete kernel and
+    the horizon T' of ``time_bound_primed`` shrinks by ``safety``; when V
+    vanishes the formula does not involve C and T' is used as is.  Returns
+    the space Y (mu = gamma, R = R', T = the shrunk horizon) and T'.
     """
-    mu = resolved_mu(c.problem, f0) if mu is None else mu
-    lam = resolved_lambda(c.problem, f0) if lam is None else lam
     v_norm = c.v_sup_norm()
-    if c_gauss is None:
-        c_gauss = fit_duhamel_constant(c, c.grid) if v_norm > 0 else 1.0
-    t_formula = time_bound(mu, sup_norm(f0), c_gauss, v_norm, c.W_inf, c.W_sup)
-    t_op = t_formula * (safety if v_norm > 0 else 1.0)
-    return PicardSpace(
-        mu=mu,
-        Lambda=lam,
-        R=1.0 + mu + 2.0 * sup_norm(f0),
-        T=t_op,
+    c_gauss = fit_duhamel_constant(c, c.grid) if v_norm > 0 else 1.0
+    t_prime, r_prime, gamma = time_bound_primed(
+        mu, m, big_m, sup_norm(f0), c_gauss, v_norm, c.W_inf, c.W_sup
+    )
+    space = PicardSpace(
+        mu=gamma,
+        Lambda=resolved_lambda(c.problem, f0),
+        R=r_prime,
+        T=t_prime * (safety if v_norm > 0 else 1.0),
         C_gauss=c_gauss,
         W_inf=c.W_inf,
         W_sup=c.W_sup,
         V_norm=v_norm,
     )
+    return space, t_prime
+
+
+def picard_space(
+    f0: Field, c: CoefficientSet, mu: float | None = None, safety: float = 0.5
+) -> PicardSpace:
+    """Build the solver's operating space by policy: the horizon T of
+    ``time_bound`` under the rule of ``_horizon``.
+
+    mu defaults to min(f0)/4 (the largest value the initial-data assumption
+    permits).
+    """
+    mu = resolved_mu(c.problem, f0) if mu is None else mu
+    return _horizon(f0, c, mu, math.inf, 0.0, safety)[0]
 
 
 def _require_in_y(values: np.ndarray, space: PicardSpace, slack: float, what: str):
@@ -149,14 +159,13 @@ def _linear_frames(
     t0: float,
     length: float,
     nt: int,
-    substeps: int,
 ) -> np.ndarray:
     n = f0_vals.size
     delta = length / nt
     out = np.empty((nt + 1, n))
     out[0] = f0_vals
     for m in range(nt):
-        out[m + 1] = stepper.advance(out[m], t0 + m * delta, t0 + (m + 1) * delta, substeps)
+        out[m + 1] = stepper.advance(out[m], t0 + m * delta, t0 + (m + 1) * delta)
     return out
 
 
@@ -175,7 +184,6 @@ def _psi_values(
     t0: float,
     length: float,
     nt: int,
-    substeps: int,
     v_zero: bool,
 ) -> np.ndarray:
     if v_zero:
@@ -190,9 +198,7 @@ def _psi_values(
         t_mid = ta + 0.5 * delta
         favg = 0.5 * (fvals[m] + fvals[m + 1])
         src = _nonlinear_source(c, favg, t_mid)
-        source_acc = stepper.advance(source_acc, ta, tb, substeps) + delta * stepper.advance(
-            src, t_mid, tb, substeps
-        )
+        source_acc = stepper.advance(source_acc, ta, tb) + delta * stepper.advance(src, t_mid, tb)
         out[m + 1] = linear[m + 1] + source_acc
     return out
 
@@ -212,7 +218,6 @@ def psi_map(
     f0: Field,
     c: CoefficientSet,
     space: PicardSpace,
-    substeps_per_interval: int = 1,
 ) -> Trajectory:
     """One application of the Duhamel map to a trajectory in Y."""
     if f.grid != c.grid or f0.grid != c.grid:
@@ -221,10 +226,8 @@ def psi_map(
     _require_in_y(vals, space, 1e-10, "psi_map input")
     t0, length, nt = _uniform_lattice_params(f.times)
     stepper = ImplicitStepper(c, c.grid)
-    linear = _linear_frames(f0.values, stepper, t0, length, nt, substeps_per_interval)
-    out = _psi_values(
-        vals, linear, c, stepper, t0, length, nt, substeps_per_interval, space.V_norm == 0.0
-    )
+    linear = _linear_frames(f0.values, stepper, t0, length, nt)
+    out = _psi_values(vals, linear, c, stepper, t0, length, nt, space.V_norm == 0.0)
     return Trajectory(c.grid, f.times, [Field(c.grid, row) for row in out])
 
 
@@ -244,7 +247,6 @@ def _fixed_point_values(
     t0: float,
     length: float,
     nt: int,
-    substeps: int,
     tol: float,
     max_iter: int,
     initial_slack: float = 1e-12,
@@ -256,14 +258,14 @@ def _fixed_point_values(
             f"min f0 = {np.min(f0_vals):.6g}"
         )
     v_zero = space.V_norm == 0.0
-    linear = _linear_frames(f0_vals, stepper, t0, length, nt, substeps)
+    linear = _linear_frames(f0_vals, stepper, t0, length, nt)
     u = np.tile(f0_vals, (nt + 1, 1))
     diffs: list[float] = []
     in_y = True
     rising = 0
     iterations = 0
     for _ in range(max_iter):
-        unew = _psi_values(u, linear, c, stepper, t0, length, nt, substeps, v_zero)
+        unew = _psi_values(u, linear, c, stepper, t0, length, nt, v_zero)
         iterations += 1
         d = float(np.max(np.abs(unew - u)))
         diffs.append(d)
@@ -318,62 +320,34 @@ def fixed_point_solve(
     tol: float = 1e-8,
     max_iter: int = 40,
     nt: int = 64,
-    substeps_per_interval: int = 1,
-    auto_refine: int = 0,
     t0: float = 0.0,
     iteration_log: list | None = None,
 ) -> tuple[Trajectory, FixedPointReport]:
     """Banach iteration of the Duhamel map from the constant-in-time
     extension of f0, on a lattice of nt midpoint intervals over [0, space.T].
-
-    ``auto_refine`` doublings of the lattice are attempted; refinement stops
-    early once the fixed point moves by less than tol/10.
     """
     if f0.grid != c.grid:
         raise UsageError("f0 and coefficients must share one grid")
     stepper = ImplicitStepper(c, c.grid)
     vals, report = _fixed_point_values(
-        f0.values, c, space, stepper, t0, space.T, nt, substeps_per_interval, tol, max_iter,
-        iteration_log=iteration_log,
+        f0.values, c, space, stepper, t0, space.T, nt, tol, max_iter, iteration_log=iteration_log
     )
-    for _ in range(auto_refine):
-        nt2 = 2 * nt
-        vals2, report2 = _fixed_point_values(
-            f0.values, c, space, stepper, t0, space.T, nt2, substeps_per_interval, tol, max_iter
-        )
-        change = float(np.max(np.abs(vals2[::2] - vals)))
-        nt, vals, report = nt2, vals2, report2
-        if change < tol / 10.0:
-            break
     times = (space.T / nt) * np.arange(nt + 1)
     traj = Trajectory(c.grid, times, [Field(c.grid, row) for row in vals])
     return traj, report
 
 
 def contraction_ratio(
-    f: Trajectory,
-    g: Trajectory,
-    f0: Field,
-    c: CoefficientSet,
-    space: PicardSpace,
-    substeps_per_interval: int = 1,
+    f: Trajectory, g: Trajectory, f0: Field, c: CoefficientSet, space: PicardSpace
 ) -> float:
     """sup-norm ratio ||psi f - psi g|| / ||f - g||; zero for f = g."""
     if not np.array_equal(f.times, g.times):
         raise UsageError("trajectories must share one time lattice")
-    fv = f.values_matrix()
-    gv = g.values_matrix()
-    denom = float(np.max(np.abs(fv - gv)))
+    pf = psi_map(f, f0, c, space).values_matrix()
+    pg = psi_map(g, f0, c, space).values_matrix()
+    denom = float(np.max(np.abs(f.values_matrix() - g.values_matrix())))
     if denom == 0.0:
         return 0.0
-    _require_in_y(fv, space, 1e-10, "contraction_ratio input f")
-    _require_in_y(gv, space, 1e-10, "contraction_ratio input g")
-    t0, length, nt = _uniform_lattice_params(f.times)
-    stepper = ImplicitStepper(c, c.grid)
-    linear = _linear_frames(f0.values, stepper, t0, length, nt, substeps_per_interval)
-    v_zero = space.V_norm == 0.0
-    pf = _psi_values(fv, linear, c, stepper, t0, length, nt, substeps_per_interval, v_zero)
-    pg = _psi_values(gv, linear, c, stepper, t0, length, nt, substeps_per_interval, v_zero)
     return float(np.max(np.abs(pf - pg))) / denom
 
 
@@ -385,20 +359,14 @@ def continuity_check(
     tol: float = 1e-10,
     max_iter: int = 40,
     nt: int = 64,
-    substeps_per_interval: int = 1,
 ) -> float:
     """Solve both fixed points and return ||f - g||_traj / ||f0 - g0||."""
+    uf, _ = fixed_point_solve(f0, c, space, tol, max_iter, nt)
+    ug, _ = fixed_point_solve(g0, c, space, tol, max_iter, nt)
     denom = float(np.max(np.abs(f0.values - g0.values)))
     if denom == 0.0:
         return 0.0
-    stepper = ImplicitStepper(c, c.grid)
-    uf, _ = _fixed_point_values(
-        f0.values, c, space, stepper, 0.0, space.T, nt, substeps_per_interval, tol, max_iter
-    )
-    ug, _ = _fixed_point_values(
-        g0.values, c, space, stepper, 0.0, space.T, nt, substeps_per_interval, tol, max_iter
-    )
-    return float(np.max(np.abs(uf - ug))) / denom
+    return float(np.max(np.abs(uf.values_matrix() - ug.values_matrix()))) / denom
 
 
 @dataclass(frozen=True)
@@ -415,16 +383,12 @@ def global_solve(
     f0: Field,
     c: CoefficientSet,
     T_final: float,
-    mu: float | None = None,
-    c_gauss: float | None = None,
     tol: float = 1e-9,
     max_iter: int = 40,
     nt_per_window: int = 16,
-    substeps_per_interval: int = 1,
     envelope_tol: float = 1e-4,
     num_windows_override: int | None = None,
     safety: float = 0.5,
-    max_windows: int = 200_000,
 ) -> tuple[Trajectory, GlobalPlan]:
     """March the fixed-point solver over consecutive windows of length T'
     up to T_final, each window starting from the previous terminal frame.
@@ -433,7 +397,7 @@ def global_solve(
     [m - envelope_tol, M + envelope_tol]; seam frames are asserted
     bit-identical across windows.  The returned trajectory holds the seam
     frames (window boundaries).  Marching refuses to start when the window
-    horizon would require more than max_windows windows (the honest horizon
+    horizon would require more than _MAX_WINDOWS windows (the honest horizon
     is tiny for strongly nonlinear problems; pass num_windows_override to
     take responsibility for longer windows).
     """
@@ -445,60 +409,40 @@ def global_solve(
         from .coeff import validate_assumptions
 
         validate_assumptions(c, f0, c.problem).require()
-    mu = resolved_mu(c.problem, f0) if mu is None else mu
-    mass = integrate(f0)
-    eq = equilibrium_state(c, mass)
+    eq = equilibrium_state(c, integrate(f0))
     bnd = apriori_bounds(f0, eq, c)
-    v_norm = c.v_sup_norm()
-    if c_gauss is None:
-        c_gauss = fit_duhamel_constant(c, c.grid) if v_norm > 0 else 1.0
-    t_prime, r_prime, gamma = time_bound_primed(
-        mu, bnd.m, bnd.M, sup_norm(f0), c_gauss, v_norm, c.W_inf, c.W_sup
-    )
-    t_op = t_prime * (safety if v_norm > 0 else 1.0)
+    space, t_prime = _horizon(f0, c, resolved_mu(c.problem, f0), bnd.m, bnd.M, safety)
     if num_windows_override is not None:
         nw = num_windows_override
-        t_op = T_final / nw
+        space = replace(space, T=T_final / nw)
     else:
-        nw = int(math.ceil(T_final / t_op - 1e-12))
-        if nw > max_windows:
+        nw = int(math.ceil(T_final / space.T - 1e-12))
+        if nw > _MAX_WINDOWS:
             raise NumericsError(
                 f"global solve needs {nw} windows of T'={t_prime:.3g} to reach "
                 f"T_final={T_final:g}; pass num_windows_override (or a smaller "
                 "T_final) to proceed"
             )
     plan = GlobalPlan(
-        m=bnd.m, M=bnd.M, R_prime=r_prime, gamma=gamma, T_prime=t_prime, num_windows=nw
+        m=bnd.m, M=bnd.M, R_prime=space.R, gamma=space.mu, T_prime=t_prime, num_windows=nw
     )
 
-    lam = resolved_lambda(c.problem, f0)
     stepper = ImplicitStepper(c, c.grid)
     cur = f0.values
     seam_times = [0.0]
     seams = [cur]
     for k in range(nw):
-        start = k * t_op
-        length = t_op if k < nw - 1 else T_final - start
-        space_k = PicardSpace(
-            mu=gamma,
-            Lambda=lam,
-            R=r_prime,
-            T=length,
-            C_gauss=c_gauss,
-            W_inf=c.W_inf,
-            W_sup=c.W_sup,
-            V_norm=v_norm,
-        )
+        start = k * space.T
+        length = space.T if k < nw - 1 else T_final - start
         try:
             vals, _rep = _fixed_point_values(
                 cur,
                 c,
-                space_k,
+                space,
                 stepper,
                 start,
                 length,
                 nt_per_window,
-                substeps_per_interval,
                 tol,
                 max_iter,
                 initial_slack=envelope_tol + 1e-9,

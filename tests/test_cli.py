@@ -118,7 +118,7 @@ def test_simulate_assumption_failure_names_a4(tmp_path, capsys):
     assert "code=2" in err
 
 
-@pytest.mark.parametrize("command", ["simulate", "picard", "global"])
+@pytest.mark.parametrize("command", ["simulate", "bounds", "picard", "global"])
 def test_nonpositive_f0_fails_a3_with_default_mu(tmp_path, capsys, command):
     # the default mu = min(f0)/4 is negative here, so A3 must fail on 0 < 4*mu
     cfg = write(tmp_path, "neg.ini", COSINE.replace("f0 = 1", "f0 = 0.5 + cos(2*pi*x1)"))
@@ -126,6 +126,22 @@ def test_nonpositive_f0_fails_a3_with_default_mu(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert code == 2
     assert "code=2" in err and "A3" in err
+
+
+def test_root_tolerance_reaches_simulate(tmp_path):
+    # simulate's t = 0 distance to f_eq uses the same equilibrium as the
+    # equilibrium command, solved to the configured [tolerances] root
+    from torusfp.coeff import sample_initial_data
+
+    text = VARIABLE_D.replace("phi = 0", "phi = sin(2*pi*x1)") + "\n[tolerances]\nroot = 1e-3\n"
+    cfg = write(tmp_path, "vard.ini", text)
+    assert main(["equilibrium", "--config", str(cfg), "--out", str(tmp_path / "eq"), "--quiet"]) == 0
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim"), "--quiet"]) == 0
+    f0 = sample_initial_data(load_config(cfg).problem)
+    feq = load_field_csv(tmp_path / "eq" / "f_eq.csv")
+    _, rows = read_csv_rows(tmp_path / "sim" / "diagnostics.csv")
+    assert float(rows[0]["t"]) == 0.0
+    assert float(rows[0]["linf_to_feq"]) == float(np.max(np.abs(f0.values - feq.values)))
 
 
 def test_missing_config_exits_one(tmp_path, capsys):

@@ -7,7 +7,7 @@ from conftest import make_spec, sample_f0
 
 from torusfp.coeff import build_coefficients
 from torusfp.errors import AssumptionError, NumericsError, UsageError
-from torusfp.grid import Field, Trajectory
+from torusfp.grid import Field, TorusGrid, Trajectory
 from torusfp.picard import (
     contraction_ratio,
     continuity_check,
@@ -183,6 +183,23 @@ def test_contraction_over_random_pairs(cosine_d64, rng):
         g = random_y_trajectory(space, c.grid, rng, nt=32)
         worst = max(worst, contraction_ratio(f, g, f0, c, space))
     assert worst <= 0.55  # 1/2 plus discretization slack
+
+
+def test_contraction_and_continuity_reject_foreign_grids(heat64, rng):
+    # V = 0 here, so a missing grid check would silently give ratio 0
+    spec, c = heat64
+    f0 = sample_f0(spec)
+    space = picard_space(f0, c)
+    coarse = TorusGrid(1, 32)
+    f = random_y_trajectory(space, coarse, rng, nt=16)
+    g = random_y_trajectory(space, coarse, rng, nt=16)
+    with pytest.raises(UsageError, match="grid"):
+        contraction_ratio(f, g, f0, c, space)
+    g0 = Field.constant(coarse, 1.0)
+    with pytest.raises(UsageError, match="grid"):
+        continuity_check(f0, g0, c, space)
+    with pytest.raises(UsageError, match="grid"):
+        continuity_check(g0, f0, c, space)
 
 
 def test_log_lipschitz_norm_estimates(rng):
