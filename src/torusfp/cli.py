@@ -186,9 +186,8 @@ def cmd_picard(run: RunConfig, out: _Out) -> int:
         iteration_log=log,
     )
     out.csv("picard_iterations.csv", "iteration,residual,ratio,min_f,max_f", log)
-    stride = max(1, run.picard.snapshot_stride)
     for i, frame in enumerate(traj.frames):
-        if i % stride == 0 or i == len(traj.frames) - 1:
+        if i % run.picard.snapshot_stride == 0 or i == len(traj.frames) - 1:
             out.field(f"picard_frame_{i:04d}.csv", frame)
     out.manifest(
         {
@@ -265,9 +264,7 @@ def cmd_kernel_validate(run: RunConfig, out: _Out) -> int:
         )
     )
 
-    ib = validate_integral_bounds(
-        c, grid, [t for t in ko.integral_times], substeps=ko.integral_substeps
-    )
+    ib = validate_integral_bounds(c, grid, ko.integral_times, substeps=ko.integral_substeps)
     rows.append(
         (
             "integral_bounds",
@@ -380,6 +377,7 @@ def main(argv=None) -> int:
         if name in ("picard", "global"):
             p.add_argument("--tol", type=float, default=None, help="fixed-point tolerance")
             p.add_argument("--max-iter", type=int, default=None)
+        if name == "global":
             p.add_argument("--windows", type=int, default=None, help="window count override")
 
     sw = sub.add_parser("sweep", help="run several simulate configs in parallel workers")
@@ -398,13 +396,11 @@ def main(argv=None) -> int:
     try:
         if args.command == "sweep":
             return cmd_sweep(list(args.configs), args.out, args.seed, args.quiet, args.jobs)
-        overrides = {}
-        if getattr(args, "tol", None) is not None:
-            overrides["tol"] = args.tol
-        if getattr(args, "max_iter", None) is not None:
-            overrides["max_iter"] = args.max_iter
-        if getattr(args, "windows", None) is not None:
-            overrides["windows"] = args.windows
+        overrides = {
+            key: value
+            for key in ("tol", "max_iter", "windows")
+            if (value := getattr(args, key, None)) is not None
+        }
         return _dispatch(args.command, args.config, args.out, args.seed, args.quiet, overrides)
     except AssumptionError as err:
         print(f"torusfp: code=2 kind=assumptions message={err}", file=sys.stderr)

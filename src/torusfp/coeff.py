@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import expressions as ex
-from .errors import AssumptionError, UsageError
+from .errors import AssumptionError, UsageError, check_ranges
 from .grid import Field, TorusGrid, VectorField, divergence, gradient
 
 __all__ = [
@@ -32,6 +32,9 @@ __all__ = [
 @dataclass(frozen=True)
 class Tolerances:
     root: float = 1e-12
+
+    def __post_init__(self):
+        check_ranges("tolerances", self, (("root", self.root > 0, "> 0"),))
 
 
 @dataclass(frozen=True)
@@ -91,8 +94,8 @@ def _sample(entry, grid: TorusGrid, t: float, what: str) -> np.ndarray:
     raise UsageError(f"{what} must be an expression or a tabulated Field")
 
 
-def sample_initial_data(spec: ProblemSpec, grid: TorusGrid | None = None) -> Field:
-    grid = grid or spec.make_grid()
+def sample_initial_data(spec: ProblemSpec) -> Field:
+    grid = spec.make_grid()
     return Field(grid, _sample(spec.f0, grid, 0.0, "f0"))
 
 
@@ -123,18 +126,15 @@ class CoefficientSet:
     time_independent_pi: bool
     problem: ProblemSpec | None = None
 
-    def v_sup_norm(self, times=None) -> float:
-        """Sup norm of V over the grid and the given (or certified) times."""
-        times = self._sample_times() if times is None else times
+    def v_sup_norm(self) -> float:
+        """Sup norm of V over the grid and the certified times."""
         sup = 0.0
-        for t in times:
+        for t in self._sample_times():
             v = self.V_at(t)
             mag = np.zeros(self.grid.n_cells)
             for comp in v.components:
                 mag += comp * comp
             sup = max(sup, float(np.sqrt(np.max(mag))))
-            if self.time_independent_pi:
-                break
         return sup
 
     def _sample_times(self) -> np.ndarray:

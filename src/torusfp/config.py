@@ -3,20 +3,24 @@
 
 Coefficient entries are expression strings (D, pi, phi, f0) or snapshot-CSV
 tables (D_table, pi_table, phi_table, f0_table; paths relative to the config
-file).  See the README for the full key list.  A section or key the loader
-never reads is rejected as a typo, naming the nearest one it does read.
+file).  The solver keys of [run] and the sections [picard], [kernel] and
+[tolerances] are the fields of FVConfig, PicardOptions, KernelOptions and
+Tolerances: each field is read from the key of its name, and its default
+and range live in its dataclass alone.  See the README for the full key
+list.  A section or key the loader never reads is rejected as a typo,
+naming the nearest one it does read.
 """
 
 from __future__ import annotations
 
 import configparser
 import difflib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import expressions as ex
 from .coeff import ProblemSpec, Tolerances
-from .errors import UsageError
+from .errors import UsageError, check_ranges
 from .fvsolver import FVConfig
 from .grid import TorusGrid, load_field_csv
 
@@ -34,6 +38,18 @@ class PicardOptions:
     envelope_tol: float = 1e-4
     snapshot_stride: int = 8
 
+    def __post_init__(self):
+        check_ranges("picard", self, (
+            ("tol", self.tol > 0, "> 0"),
+            ("max_iter", self.max_iter >= 1, ">= 1"),
+            ("nt", self.nt >= 1, ">= 1"),
+            ("nt_per_window", self.nt_per_window >= 1, ">= 1"),
+            ("windows", self.windows >= 0, ">= 0"),
+            ("safety", 0 < self.safety <= 1, "in (0, 1]"),
+            ("envelope_tol", self.envelope_tol >= 0, ">= 0"),
+            ("snapshot_stride", self.snapshot_stride >= 1, ">= 1"),
+        ))
+
 
 @dataclass(frozen=True)
 class KernelOptions:
@@ -45,6 +61,19 @@ class KernelOptions:
     sandwich_substeps: int = 100
     integral_times: tuple = (0.0, 0.005, 0.01, 0.02)
     integral_substeps: int = 64
+
+    def __post_init__(self):
+        check_ranges("kernel", self, (
+            ("horizon", self.horizon > 0, "> 0"),
+            ("substeps", self.substeps >= 1, ">= 1"),
+            ("ladder_stride", self.ladder_stride >= 1, ">= 1"),
+            ("rel_floor", 0 < self.rel_floor < 1, "in (0, 1)"),
+            ("sandwich_horizon", self.sandwich_horizon > 0, "> 0"),
+            ("sandwich_substeps", self.sandwich_substeps >= 1, ">= 1"),
+            ("integral_times", 0 < max(self.integral_times, default=0) <= 1,
+             "a list whose largest time is in (0, 1]"),
+            ("integral_substeps", self.integral_substeps >= 1, ">= 1"),
+        ))
 
 
 @dataclass(frozen=True)
@@ -95,11 +124,24 @@ def _get(cp: _Sections, section, key, cast, default):
     if raw is None:
         return default
     try:
-        if cast is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
         return cast(raw)
     except ValueError as err:
         raise UsageError(f"config [{section}] {key} = {raw!r}: {err}") from err
+
+
+def _float_list(raw: str) -> tuple:
+    return tuple(float(tok) for tok in raw.split(","))
+
+
+def _options(cp: _Sections, section: str, cls):
+    """The options dataclass ``cls`` read from [section]: each field from the
+    key of its name, with the field's default as the default and the type of
+    that default as the cast (a tuple is a comma-separated list of floats)."""
+    values = {}
+    for f in fields(cls):
+        cast = _float_list if isinstance(f.default, tuple) else type(f.default)
+        values[f.name] = _get(cp, section, f.name, cast, f.default)
+    return cls(**values)
 
 
 def _coefficient(cp: _Sections, section, name, base: Path, grid: TorusGrid):
@@ -162,48 +204,16 @@ def load_config(path) -> RunConfig:
         T_final=_get(cp, "run", "t_final", float, 1.0),
         mu=_get(cp, "run", "mu", float, None),
         lam=_get(cp, "run", "lambda", float, None),
-        beta_declared=_get(cp, "run", "beta", float, 0.5),
-        tolerances=Tolerances(root=_get(cp, "tolerances", "root", float, 1e-12)),
-    )
-    fv = FVConfig(
-        dt_safety=_get(cp, "run", "dt_safety", float, 0.9),
-        stepper=_get(cp, "run", "stepper", str, "implicit"),
-        max_newton_iter=_get(cp, "run", "max_newton_iter", int, 30),
-        newton_tol=_get(cp, "run", "newton_tol", float, 1e-13),
-        diag_every=_get(cp, "run", "diag_every", int, 10),
-    )
-    picard = PicardOptions(
-        tol=_get(cp, "picard", "tol", float, 1e-9),
-        max_iter=_get(cp, "picard", "max_iter", int, 40),
-        nt=_get(cp, "picard", "nt", int, 64),
-        nt_per_window=_get(cp, "picard", "nt_per_window", int, 16),
-        windows=_get(cp, "picard", "windows", int, 0),
-        safety=_get(cp, "picard", "safety", float, 0.5),
-        envelope_tol=_get(cp, "picard", "envelope_tol", float, 1e-4),
-        snapshot_stride=_get(cp, "picard", "snapshot_stride", int, 8),
-    )
-    times_raw = _get(cp, "kernel", "integral_times", str, "0,0.005,0.01,0.02")
-    try:
-        integral_times = tuple(float(tok) for tok in times_raw.split(","))
-    except ValueError as err:
-        raise UsageError(f"config [kernel] integral_times: {err}") from err
-    kernel = KernelOptions(
-        horizon=_get(cp, "kernel", "horizon", float, 2e-3),
-        substeps=_get(cp, "kernel", "substeps", int, 600),
-        ladder_stride=_get(cp, "kernel", "ladder_stride", int, 20),
-        rel_floor=_get(cp, "kernel", "rel_floor", float, 0.02),
-        sandwich_horizon=_get(cp, "kernel", "sandwich_horizon", float, 0.1),
-        sandwich_substeps=_get(cp, "kernel", "sandwich_substeps", int, 100),
-        integral_times=integral_times,
-        integral_substeps=_get(cp, "kernel", "integral_substeps", int, 64),
+        beta_declared=_get(cp, "run", "beta", float, ProblemSpec.beta_declared),
+        tolerances=_options(cp, "tolerances", Tolerances),
     )
     run = RunConfig(
         problem=problem,
-        fv=fv,
-        picard=picard,
-        kernel=kernel,
-        seed=_get(cp, "run", "seed", int, 0),
-        snapshot_stride=_get(cp, "run", "snapshot_stride", int, 0),
+        fv=_options(cp, "run", FVConfig),
+        picard=_options(cp, "picard", PicardOptions),
+        kernel=_options(cp, "kernel", KernelOptions),
+        seed=_get(cp, "run", "seed", int, RunConfig.seed),
+        snapshot_stride=_get(cp, "run", "snapshot_stride", int, RunConfig.snapshot_stride),
         source_path=path,
         source_text=text,
     )

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeff import CoefficientSet
+from .coeff import CoefficientSet, Tolerances
 from .errors import NumericsError
 from .grid import Field, gradient, integrate
 
@@ -52,8 +52,8 @@ def _gibbs_values(c: CoefficientSet, C: float) -> np.ndarray:
 
 def equilibrium_state(c: CoefficientSet, mass: float) -> EquilibriumState:
     """Find the Gibbs state exp(-(phi - C)/D) whose total mass matches, to
-    the relative tolerance ``[tolerances] root`` of ``c.problem`` (1e-12
-    when there is no problem).
+    the relative tolerance ``[tolerances] root`` of ``c.problem`` (its
+    default when there is no problem).
 
     The mass defect g(C) = integrate(exp(-(phi-C)/D)) - mass is strictly
     increasing in C (D > 0), so bisection is unconditionally safe.  An exact
@@ -68,7 +68,7 @@ def equilibrium_state(c: CoefficientSet, mass: float) -> EquilibriumState:
     def defect(C: float) -> float:
         return hdim * float(np.sum(_gibbs_values(c, C))) - mass
 
-    tol = (c.problem.tolerances.root if c.problem is not None else 1e-12) * mass
+    tol = (c.problem.tolerances if c.problem is not None else Tolerances()).root * mass
     # exact for constant D; a good starting point otherwise
     d_mean = float(np.mean(c.D.values))
     base = hdim * float(np.sum(np.exp(-c.phi.values / c.D.values)))

@@ -13,6 +13,14 @@ class UsageError(TorusFPError):
     """Bad invocation, unreadable config, or malformed input files."""
 
 
+def check_ranges(section: str, opts, checks) -> None:
+    """Raise UsageError for the first ``(key, ok, rule)`` in ``checks`` whose
+    ``ok`` is false, naming ``[section] key``, the rule and the value."""
+    for key, ok, rule in checks:
+        if not ok:
+            raise UsageError(f"[{section}] {key} must be {rule}, got {getattr(opts, key)!r}")
+
+
 class AssumptionError(TorusFPError):
     """A model assumption (positivity, parabolicity, initial-data bounds) fails."""
 

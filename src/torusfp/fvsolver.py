@@ -20,7 +20,7 @@ import scipy.sparse.linalg as spla
 
 from .coeff import CoefficientSet, ProblemSpec, build_coefficients, sample_initial_data, validate_assumptions
 from .equilibrium import apriori_bounds, dissipation_rate, equilibrium_state, free_energy
-from .errors import NumericsError, UsageError
+from .errors import NumericsError, UsageError, check_ranges
 from .grid import Field, Trajectory, TorusGrid, gradient
 
 __all__ = [
@@ -52,12 +52,13 @@ class FVConfig:
     diag_every: int = 10
 
     def __post_init__(self):
-        if not 0 < self.dt_safety <= 1:
-            raise UsageError(f"dt_safety must lie in (0, 1], got {self.dt_safety}")
-        if self.stepper not in ("implicit", "explicit"):
-            raise UsageError(f"stepper must be 'implicit' or 'explicit', got {self.stepper!r}")
-        if self.newton_tol <= 0:
-            raise UsageError("newton_tol must be positive")
+        check_ranges("run", self, (
+            ("dt_safety", 0 < self.dt_safety <= 1, "in (0, 1]"),
+            ("stepper", self.stepper in ("implicit", "explicit"), "'implicit' or 'explicit'"),
+            ("max_newton_iter", self.max_newton_iter >= 1, ">= 1"),
+            ("newton_tol", self.newton_tol > 0, "> 0"),
+            ("diag_every", self.diag_every >= 1, ">= 1"),
+        ))
 
 
 def chemical_potential(f: Field, c: CoefficientSet) -> Field:
@@ -207,17 +208,22 @@ def _explicit_step(
     return out
 
 
+def _step(
+    grid: TorusGrid, f_vals: np.ndarray, c: CoefficientSet, t: float, dt: float, cfg: FVConfig
+) -> np.ndarray:
+    """One step of size dt from time t with the configured stepper."""
+    if cfg.stepper == "implicit":
+        return _implicit_step(grid, f_vals, c, t + dt, dt, cfg)
+    return _explicit_step(grid, f_vals, c, t, dt)
+
+
 def fv_step(f: Field, c: CoefficientSet, t: float, dt: float, cfg: FVConfig) -> Field:
     """Advance one step of size dt starting at time t."""
     if dt <= 0:
         raise UsageError("dt must be positive")
     if np.min(f.values) <= 0:
         raise NumericsError("fv_step needs strictly positive input")
-    if cfg.stepper == "implicit":
-        out = _implicit_step(f.grid, f.values, c, t + dt, dt, cfg)
-    else:
-        out = _explicit_step(f.grid, f.values, c, t, dt)
-    return Field(f.grid, out)
+    return Field(f.grid, _step(f.grid, f.values, c, t, dt, cfg))
 
 
 def stable_dt(f: Field, c: CoefficientSet, t: float, cfg: FVConfig) -> float:
@@ -297,10 +303,7 @@ def simulate(spec: ProblemSpec, cfg: FVConfig) -> SimulationResult:
     t = 0.0
     for k in range(n_steps):
         step = min(dt, spec.T_final - t)
-        if cfg.stepper == "implicit":
-            vals = _implicit_step(grid, vals, c, t + step, step, cfg)
-        else:
-            vals = _explicit_step(grid, vals, c, t, step)
+        vals = _step(grid, vals, c, t, step, cfg)
         t += step
         lo = float(np.min(vals))
         hi = float(np.max(vals))

@@ -154,7 +154,7 @@ class VectorField:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Time-indexed sequence of Fields on a common grid, times start at 0."""
+    """Time-indexed sequence of Fields on a common grid, times strictly increasing."""
 
     grid: TorusGrid
     times: np.ndarray
@@ -164,8 +164,8 @@ class Trajectory:
         object.__setattr__(self, "times", _as_readonly(self.times).ravel())
         if len(self.frames) != self.times.size:
             raise ValueError("frames and times length mismatch")
-        if self.times.size == 0 or abs(self.times[0]) > 0:
-            raise ValueError("times must start at 0")
+        if self.times.size == 0:
+            raise ValueError("a trajectory needs at least one frame")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
         for fr in self.frames:

@@ -272,10 +272,7 @@ class GaussianFit:
 
 
 def validate_gaussian_bounds(
-    p: Propagator,
-    orders: tuple = (0, 0),
-    min_tau_substeps: int | None = None,
-    rel_floor: float = 0.02,
+    p: Propagator, orders: tuple = (0, 0), rel_floor: float = 0.02
 ) -> GaussianFit:
     """Fit the heat-kernel-type envelope to the discrete kernel and its
     derivatives over the substep ladder.
@@ -286,10 +283,10 @@ def validate_gaussian_bounds(
     every sampled residual <= 0.  Two exclusions keep the fit on resolved
     data: values below rel_floor times the peak of their time slice (the far
     tail of an implicit time discretization decays exponentially, not
-    Gaussianly), and ladder times below min_tau_substeps substeps (the early
-    backward Euler kernel is a resolvent, not yet Gaussian).  The latter
-    defaults to the smallest count keeping the time-discretization tail lift
-    z^2*dt/(32*tau) below 0.05 across the admitted dynamic range.
+    Gaussianly), and ladder times below a minimum number of substeps (the
+    early backward Euler kernel is a resolvent, not yet Gaussian): the
+    smallest count keeping the time-discretization tail lift
+    z^2*dt/(32*tau) below 0.05 across the dynamic range rel_floor admits.
     """
     a_ord, b_ord = orders
     if a_ord < 0 or b_ord < 0 or 2 * a_ord + b_ord > 2:
@@ -300,9 +297,8 @@ def validate_gaussian_bounds(
         )
     if not p.ladder:
         raise UsageError("propagator was built without keep_ladder=True")
-    if min_tau_substeps is None:
-        z_max = 4.0 * np.log(1.0 / rel_floor)
-        min_tau_substeps = max(8, int(np.ceil(z_max**2 / (32.0 * 0.05))))
+    z_max = 4.0 * np.log(1.0 / rel_floor)
+    min_tau_substeps = max(8, int(np.ceil(z_max**2 / (32.0 * 0.05))))
 
     grid = p.grid
     d = grid.dim
@@ -336,7 +332,10 @@ def validate_gaussian_bounds(
         u_all.append((np.log(data[mask]) + k_exp * np.log(tau)).ravel())
 
     if not z_all:
-        raise UsageError("no eligible ladder times; lower min_tau_substeps or add substeps")
+        raise UsageError(
+            f"no ladder time past the first {min_tau_substeps} substeps; "
+            "add substeps or raise rel_floor"
+        )
     z = np.concatenate(z_all)
     u = np.concatenate(u_all)
     slope = np.polyfit(z, u, 1)[0]
@@ -460,20 +459,17 @@ def _integral_constants(
 
 
 def validate_integral_bounds(
-    c: CoefficientSet,
-    grid: TorusGrid,
-    times,
-    substeps: int = 64,
-    beta: float | None = None,
+    c: CoefficientSet, grid: TorusGrid, times, substeps: int = 64
 ) -> IntegralBoundsReport:
-    """Fit the smallest constants in the three kernel integral bounds and
-    check their stability under one grid refinement (factor-2 drift)."""
+    """Fit the smallest constants in the three kernel integral bounds, with
+    the declared Hoelder exponent ``c.beta_declared``, and check their
+    stability under one grid refinement (factor-2 drift)."""
     times = sorted(float(t) for t in times)
     if times[-1] > 1.0:
         raise UsageError("integral bounds are validated for times <= 1 only")
     if times[-1] <= 0:
         raise UsageError("need at least one positive time")
-    beta = c.beta_declared if beta is None else beta
+    beta = c.beta_declared
     notes = ""
     cc = _frozen_pi(c)
     if cc is not c:
@@ -498,16 +494,19 @@ def validate_integral_bounds(
     return IntegralBoundsReport(c1, c2, c3, r1, r2, r3, stable, beta, notes)
 
 
-def fit_duhamel_constant(
-    c: CoefficientSet, grid: TorusGrid, horizon: float = 0.01, substeps: int = 64
-) -> float:
+# horizon and substeps of the kernel that fit_duhamel_constant measures
+_DUHAMEL_HORIZON = 0.01
+_DUHAMEL_SUBSTEPS = 64
+
+
+def fit_duhamel_constant(c: CoefficientSet, grid: TorusGrid) -> float:
     """Fitted constant C1 in the Duhamel-kernel bound
     int_t' ^t int |grad_y K| <= C1 |t - t'|^(1/2), measured on the actual
-    discrete kernel.  This is the measured surrogate fed to the time-bound
-    formula."""
+    discrete kernel over [0, 0.01].  This is the measured surrogate fed to
+    the time-bound formula."""
     cc = _frozen_pi(c)
-    p = build_propagator(cc, grid, 0.0, horizon, substeps, keep_ladder=True)
-    dt = horizon / substeps
+    p = build_propagator(cc, grid, 0.0, _DUHAMEL_HORIZON, _DUHAMEL_SUBSTEPS, keep_ladder=True)
+    dt = _DUHAMEL_HORIZON / _DUHAMEL_SUBSTEPS
     hdim = grid.h**grid.dim
     best = 0.0
     acc = 0.0

@@ -324,7 +324,8 @@ def fixed_point_solve(
     iteration_log: list | None = None,
 ) -> tuple[Trajectory, FixedPointReport]:
     """Banach iteration of the Duhamel map from the constant-in-time
-    extension of f0, on a lattice of nt midpoint intervals over [0, space.T].
+    extension of f0, on a lattice of nt midpoint intervals over
+    [t0, t0 + space.T].
     """
     if f0.grid != c.grid:
         raise UsageError("f0 and coefficients must share one grid")
@@ -332,7 +333,7 @@ def fixed_point_solve(
     vals, report = _fixed_point_values(
         f0.values, c, space, stepper, t0, space.T, nt, tol, max_iter, iteration_log=iteration_log
     )
-    times = (space.T / nt) * np.arange(nt + 1)
+    times = t0 + (space.T / nt) * np.arange(nt + 1)
     traj = Trajectory(c.grid, times, [Field(c.grid, row) for row in vals])
     return traj, report
 
@@ -398,8 +399,8 @@ def global_solve(
     bit-identical across windows.  The returned trajectory holds the seam
     frames (window boundaries).  Marching refuses to start when the window
     horizon would require more than _MAX_WINDOWS windows (the honest horizon
-    is tiny for strongly nonlinear problems; pass num_windows_override to
-    take responsibility for longer windows).
+    is tiny for strongly nonlinear problems; num_windows_override takes
+    responsibility for longer windows).
     """
     if f0.grid != c.grid:
         raise UsageError("f0 and coefficients must share one grid")
@@ -420,8 +421,8 @@ def global_solve(
         if nw > _MAX_WINDOWS:
             raise NumericsError(
                 f"global solve needs {nw} windows of T'={t_prime:.3g} to reach "
-                f"T_final={T_final:g}; pass num_windows_override (or a smaller "
-                "T_final) to proceed"
+                f"T_final={T_final:g}; set the window count with --windows N or "
+                "[picard] windows (or a smaller T_final) to proceed"
             )
     plan = GlobalPlan(
         m=bnd.m, M=bnd.M, R_prime=space.R, gamma=space.mu, T_prime=t_prime, num_windows=nw
@@ -472,18 +473,17 @@ def random_y_trajectory(
     grid,
     rng: np.random.Generator,
     nt: int = 64,
-    n_modes: int = 4,
 ) -> Trajectory:
-    """Seeded smooth random element of Y: a low-frequency Fourier series with
-    1/k^2-decaying coefficients, mildly modulated in time, clipped to
-    [mu, R]."""
+    """Seeded smooth random element of Y: a four-mode low-frequency Fourier
+    series with 1/k^2-decaying coefficients, mildly modulated in time,
+    clipped to [mu, R]."""
     times = (space.T / nt) * np.arange(nt + 1)
     xs = grid.meshgrid()
     base = rng.uniform(space.mu + 0.2 * (space.R - space.mu), space.R - 0.2 * (space.R - space.mu))
     amp_scale = 0.5 * (space.R - space.mu)
     vals = np.full((nt + 1, grid.n_cells), base)
     t_hat = times / space.T if space.T > 0 else times
-    for _ in range(n_modes):
+    for _ in range(4):
         kvec = rng.integers(1, 4, size=grid.dim)
         phase = rng.uniform(0, 2 * np.pi)
         tphase = rng.uniform(0, 2 * np.pi)
@@ -514,14 +514,14 @@ def rhs_expanded_form(f: Field, c: CoefficientSet, t: float = 0.0) -> Field:
     return Field(f.grid, lf + nl)
 
 
-def pde_residual(traj: Trajectory, c: CoefficientSet, t_offset: float = 0.0) -> float:
+def pde_residual(traj: Trajectory, c: CoefficientSet) -> float:
     """Sup norm of the discrete equation residual d_t f - L f - div(V f log f)
     along a trajectory, with centered differencing on each lattice interval."""
     vals = traj.values_matrix()
     worst = 0.0
     for m in range(len(traj.times) - 1):
         delta = traj.times[m + 1] - traj.times[m]
-        t_mid = t_offset + 0.5 * (traj.times[m] + traj.times[m + 1])
+        t_mid = 0.5 * (traj.times[m] + traj.times[m + 1])
         favg = Field(traj.grid, 0.5 * (vals[m] + vals[m + 1]))
         rhs = rhs_expanded_form(favg, c, t_mid)
         resid = (vals[m + 1] - vals[m]) / delta - rhs.values

@@ -1,11 +1,14 @@
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from torusfp.cli import main
-from torusfp.config import load_config
+from torusfp.coeff import Tolerances
+from torusfp.config import KernelOptions, PicardOptions, load_config
+from torusfp.fvsolver import FVConfig
 from torusfp.grid import load_field_csv
 
 HEAT = """\
@@ -229,6 +232,51 @@ def test_global_windows_flag_override(tmp_path):
     assert int(float(rows[0]["num_windows"])) == 5
 
 
+def test_picard_takes_no_windows_flag(tmp_path):
+    cfg = write(tmp_path, "vard.ini", VARIABLE_D)
+    out = tmp_path / "out"
+    assert main(["picard", "--config", str(cfg), "--out", str(out), "--windows", "5"]) == 1
+    assert not out.exists()
+
+
+SMALL_VARIABLE_D = VARIABLE_D.replace("n = 64", "n = 32")
+
+
+@pytest.mark.parametrize(
+    "command, extra, flags, key",
+    [
+        ("global", "[picard]\nwindows = -3\n", [], "[picard] windows"),
+        ("global", "", ["--windows", "-3"], "[picard] windows"),
+        ("picard", "[picard]\nnt = 0\n", [], "[picard] nt"),
+        ("global", "[picard]\nnt_per_window = 0\n", [], "[picard] nt_per_window"),
+        ("global", "[picard]\nsafety = 0\n", [], "[picard] safety"),
+        ("simulate", "diag_every = 0\n", [], "[run] diag_every"),
+        ("kernel-validate", "[kernel]\nladder_stride = 0\n", [], "[kernel] ladder_stride"),
+        ("picard", "[picard]\nmax_iter = 0\n", [], "[picard] max_iter"),
+    ],
+    ids=["windows", "windows-flag", "nt", "nt_per_window", "safety", "diag_every",
+         "ladder_stride", "max_iter"],
+)
+def test_out_of_range_option_exits_one(tmp_path, capsys, command, extra, flags, key):
+    # SMALL_VARIABLE_D ends in its [run] section, so a bare key extends it
+    cfg = write(tmp_path, "bad.ini", SMALL_VARIABLE_D + extra)
+    out = tmp_path / "out"
+    code = main([command, "--config", str(cfg), "--out", str(out), "--quiet", *flags])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "code=1" in err and key in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_global_refusal_names_the_window_flag(tmp_path, capsys):
+    cfg = Path(__file__).parents[1] / "configs" / "variable-temperature.ini"
+    code = main(["global", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "--windows" in err and "[picard] windows" in err
+
+
 def test_kernel_validate_heat_all_pass(tmp_path):
     cfg = write(tmp_path, "heat.ini", HEAT + "\n[kernel]\nsubsteps = 300\nladder_stride = 20\n")
     out = tmp_path / "out"
@@ -351,6 +399,29 @@ def test_readme_config_block_loads(tmp_path):
     run = load_config(write(tmp_path, "readme.ini", block))
     assert run.problem.n_per_axis == 128
     assert run.kernel.integral_substeps == 64
+    # the block lists every option at its default
+    assert run.picard == PicardOptions()
+    assert run.kernel == KernelOptions()
+    assert run.fv == FVConfig()
+    assert run.problem.tolerances == Tolerances()
+
+
+def test_every_option_field_is_read_from_its_key(tmp_path):
+    def ini(value):
+        return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+    # HEAT ends in its [run] section, so the FVConfig keys extend it
+    text = HEAT
+    for section, cls in (("run", FVConfig), ("picard", PicardOptions),
+                         ("kernel", KernelOptions), ("tolerances", Tolerances)):
+        if section != "run":
+            text += f"\n[{section}]\n"
+        text += "".join(f"{f.name} = {ini(f.default)}\n" for f in fields(cls))
+    run = load_config(write(tmp_path, "all.ini", text))
+    assert run.fv == FVConfig()
+    assert run.picard == PicardOptions()
+    assert run.kernel == KernelOptions()
+    assert run.problem.tolerances == Tolerances()
 
 
 def test_usage_error_without_subcommand():

@@ -319,6 +319,19 @@ def test_seam_bitwise_identity_across_manual_windows():
     assert np.array_equal(t2.frames[0].values, t1.frames[-1].values)
 
 
+def test_fixed_point_solve_labels_frames_from_t0(heat64):
+    spec, c = heat64
+    f0 = sample_f0(spec)
+    space = picard_space(f0, c)
+    traj, _ = fixed_point_solve(f0, c, space, nt=4, t0=0.5)
+    assert traj.times[0] == 0.5
+    assert traj.times[-1] == pytest.approx(0.5 + space.T, rel=1e-15, abs=0.0)
+    # psi_map reads the window start from the labels and reproduces the fixed point
+    again = psi_map(traj, f0, c, space)
+    assert np.array_equal(again.times, traj.times)
+    assert np.allclose(again.values_matrix(), traj.values_matrix(), rtol=0.0, atol=1e-12)
+
+
 def test_fixed_point_solves_discrete_pde_first_order():
     # mild nonlinearity so the contraction tolerates a horizon far above
     # roundoff scale (time differencing would otherwise drown in noise)
