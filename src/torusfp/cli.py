@@ -231,7 +231,8 @@ def cmd_global(run: RunConfig, out: _Out) -> int:
             out.field(f"seam_{i:06d}.csv", frame)
     out.manifest({"num_windows": plan.num_windows, "T_prime": plan.T_prime})
     out.say(
-        f"global: {plan.num_windows} windows of T'={plan.T_prime:.6g}, "
+        f"global: {plan.num_windows} windows of length {plan.window:.6g} "
+        f"(T'={plan.T_prime:.6g}), "
         f"terminal range [{np.min(traj.frames[-1].values):.6g}, "
         f"{np.max(traj.frames[-1].values):.6g}]"
     )

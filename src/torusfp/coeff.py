@@ -34,7 +34,7 @@ class Tolerances:
     root: float = 1e-12
 
     def __post_init__(self):
-        check_ranges("tolerances", self, (("root", self.root > 0, "> 0"),))
+        check_ranges("tolerances", vars(self), (("root", self.root > 0, "> 0"),))
 
 
 @dataclass(frozen=True)
@@ -60,14 +60,15 @@ class ProblemSpec:
     tolerances: Tolerances = field(default_factory=Tolerances)
 
     def __post_init__(self):
-        if self.T_final <= 0:
-            raise UsageError(f"T_final must be positive, got {self.T_final}")
-        if self.mu is not None and self.mu <= 0:
-            raise UsageError(f"mu must be positive, got {self.mu}")
-        if self.mu is not None and self.lam is not None and self.lam < 4 * self.mu:
-            raise UsageError(f"need lam >= 4*mu, got lam={self.lam}, mu={self.mu}")
-        if not 0 < self.beta_declared < 1:
-            raise UsageError(f"beta_declared must lie in (0,1), got {self.beta_declared}")
+        run_keys = {
+            "t_final": self.T_final, "mu": self.mu, "lambda": self.lam, "beta": self.beta_declared,
+        }
+        check_ranges("run", run_keys, (
+            ("t_final", self.T_final > 0, "> 0"),
+            ("mu", self.mu is None or self.mu > 0, "> 0"),
+            ("lambda", self.mu is None or self.lam is None or self.lam >= 4 * self.mu, ">= 4*mu"),
+            ("beta", 0 < self.beta_declared < 1, "in (0, 1)"),
+        ))
 
     def make_grid(self) -> TorusGrid:
         return TorusGrid(self.dim, self.n_per_axis)
@@ -267,9 +268,6 @@ class AssumptionReport:
 
     def failing(self) -> list:
         return [c for c in self.checks if not c.passed]
-
-    def rows(self) -> list:
-        return [(c.name, "pass" if c.passed else "fail", c.witness, c.value) for c in self.checks]
 
     def require(self) -> None:
         """Raise AssumptionError naming each failing check and its witness."""

@@ -39,7 +39,7 @@ class PicardOptions:
     snapshot_stride: int = 8
 
     def __post_init__(self):
-        check_ranges("picard", self, (
+        check_ranges("picard", vars(self), (
             ("tol", self.tol > 0, "> 0"),
             ("max_iter", self.max_iter >= 1, ">= 1"),
             ("nt", self.nt >= 1, ">= 1"),
@@ -63,10 +63,11 @@ class KernelOptions:
     integral_substeps: int = 64
 
     def __post_init__(self):
-        check_ranges("kernel", self, (
+        check_ranges("kernel", vars(self), (
             ("horizon", self.horizon > 0, "> 0"),
             ("substeps", self.substeps >= 1, ">= 1"),
-            ("ladder_stride", self.ladder_stride >= 1, ">= 1"),
+            ("ladder_stride", 1 <= self.ladder_stride <= self.substeps,
+             f"in [1, substeps] = [1, {self.substeps}]"),
             ("rel_floor", 0 < self.rel_floor < 1, "in (0, 1)"),
             ("sandwich_horizon", self.sandwich_horizon > 0, "> 0"),
             ("sandwich_substeps", self.sandwich_substeps >= 1, ">= 1"),
@@ -86,6 +87,9 @@ class RunConfig:
     snapshot_stride: int = 0
     source_path: Path | None = None
     source_text: str = ""
+
+    def __post_init__(self):
+        check_ranges("run", vars(self), (("snapshot_stride", self.snapshot_stride >= 0, ">= 0"),))
 
 
 class _Sections:

@@ -13,12 +13,12 @@ class UsageError(TorusFPError):
     """Bad invocation, unreadable config, or malformed input files."""
 
 
-def check_ranges(section: str, opts, checks) -> None:
+def check_ranges(section: str, values: dict, checks) -> None:
     """Raise UsageError for the first ``(key, ok, rule)`` in ``checks`` whose
-    ``ok`` is false, naming ``[section] key``, the rule and the value."""
+    ``ok`` is false, naming ``[section] key``, the rule and ``values[key]``."""
     for key, ok, rule in checks:
         if not ok:
-            raise UsageError(f"[{section}] {key} must be {rule}, got {getattr(opts, key)!r}")
+            raise UsageError(f"[{section}] {key} must be {rule}, got {values[key]!r}")
 
 
 class AssumptionError(TorusFPError):

@@ -52,7 +52,7 @@ class FVConfig:
     diag_every: int = 10
 
     def __post_init__(self):
-        check_ranges("run", self, (
+        check_ranges("run", vars(self), (
             ("dt_safety", 0 < self.dt_safety <= 1, "in (0, 1]"),
             ("stepper", self.stepper in ("implicit", "explicit"), "'implicit' or 'explicit'"),
             ("max_newton_iter", self.max_newton_iter >= 1, ">= 1"),

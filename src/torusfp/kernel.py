@@ -296,7 +296,7 @@ def validate_gaussian_bounds(
             f"Gaussian bounds are validated on unit horizons only, got t-s={p.t - p.s:.3g}"
         )
     if not p.ladder:
-        raise UsageError("propagator was built without keep_ladder=True")
+        raise UsageError("the propagator holds no ladder checkpoints")
     z_max = 4.0 * np.log(1.0 / rel_floor)
     min_tau_substeps = max(8, int(np.ceil(z_max**2 / (32.0 * 0.05))))
 

@@ -4,8 +4,11 @@ iteration, the continuity estimate, and global-in-time concatenation.
 
 The Duhamel map is evaluated in its pre-integration-by-parts form: the
 propagator applied to div(V f log f), with the time integral by composite
-midpoint over a uniform lattice.  On the discrete level this agrees exactly
-with the gradient-of-kernel form by the adjointness of the grid calculus.
+midpoint over a uniform lattice.  By the semigroup property this is one
+recurrence, Psi[m+1] = S_delta Psi[m] + delta * S_{delta/2} src_m, whose
+src = 0 case is the linear evolution.  On the discrete level this agrees
+exactly with the gradient-of-kernel form by the adjointness of the grid
+calculus.
 """
 
 from __future__ import annotations
@@ -153,20 +156,9 @@ def _require_in_y(values: np.ndarray, space: PicardSpace, slack: float, what: st
         )
 
 
-def _linear_frames(
-    f0_vals: np.ndarray,
-    stepper: ImplicitStepper,
-    t0: float,
-    length: float,
-    nt: int,
-) -> np.ndarray:
-    n = f0_vals.size
-    delta = length / nt
-    out = np.empty((nt + 1, n))
-    out[0] = f0_vals
-    for m in range(nt):
-        out[m + 1] = stepper.advance(out[m], t0 + m * delta, t0 + (m + 1) * delta)
-    return out
+def _lattice(t0: float, length: float, nt: int) -> np.ndarray:
+    """The window lattice t0 + (length/nt)*m, m = 0..nt."""
+    return t0 + (length / nt) * np.arange(nt + 1)
 
 
 def _nonlinear_source(c: CoefficientSet, favg: np.ndarray, t_mid: float) -> np.ndarray:
@@ -178,7 +170,7 @@ def _nonlinear_source(c: CoefficientSet, favg: np.ndarray, t_mid: float) -> np.n
 
 def _psi_values(
     fvals: np.ndarray,
-    linear: np.ndarray,
+    f0_vals: np.ndarray,
     c: CoefficientSet,
     stepper: ImplicitStepper,
     t0: float,
@@ -186,31 +178,35 @@ def _psi_values(
     nt: int,
     v_zero: bool,
 ) -> np.ndarray:
-    if v_zero:
-        return linear.copy()
+    """The Duhamel map of the frames ``fvals`` on the window lattice, as the
+    recurrence out[m+1] = S_delta out[m] + delta * S_{delta/2} src_m with src_m
+    the source at the midpoint average of fvals[m], fvals[m+1]; when V
+    vanishes src = 0 and the frames are the free evolution of f0."""
+    times = _lattice(t0, length, nt)
     delta = length / nt
-    out = np.empty_like(linear)
-    out[0] = linear[0]
-    source_acc = np.zeros(linear.shape[1])
+    out = np.empty_like(fvals)
+    out[0] = f0_vals
     for m in range(nt):
-        ta = t0 + m * delta
-        tb = t0 + (m + 1) * delta
-        t_mid = ta + 0.5 * delta
-        favg = 0.5 * (fvals[m] + fvals[m + 1])
-        src = _nonlinear_source(c, favg, t_mid)
-        source_acc = stepper.advance(source_acc, ta, tb) + delta * stepper.advance(src, t_mid, tb)
-        out[m + 1] = linear[m + 1] + source_acc
+        ta, tb = times[m], times[m + 1]
+        out[m + 1] = stepper.advance(out[m], ta, tb)
+        if not v_zero:
+            t_mid = ta + 0.5 * delta
+            src = _nonlinear_source(c, 0.5 * (fvals[m] + fvals[m + 1]), t_mid)
+            out[m + 1] += delta * stepper.advance(src, t_mid, tb)
     return out
 
 
 def _uniform_lattice_params(times: np.ndarray) -> tuple[float, float, int]:
+    """(t0, length, nt) of ``times``, which must be the window lattice of
+    ``_lattice`` up to the rounding of its end points."""
     nt = times.size - 1
     if nt < 1:
         raise UsageError("trajectory needs at least two time points")
-    delta = np.diff(times)
-    if np.max(np.abs(delta - delta[0])) > 1e-12 * max(delta[0], 1e-300):
+    t0, t_end = float(times[0]), float(times[-1])
+    tol = 4.0 * nt * np.finfo(float).eps * max(abs(t0), abs(t_end))
+    if np.max(np.abs(times - _lattice(t0, t_end - t0, nt))) > tol:
         raise UsageError("the Duhamel quadrature requires a uniform time lattice")
-    return float(times[0]), float(times[-1] - times[0]), nt
+    return t0, t_end - t0, nt
 
 
 def psi_map(
@@ -226,8 +222,7 @@ def psi_map(
     _require_in_y(vals, space, 1e-10, "psi_map input")
     t0, length, nt = _uniform_lattice_params(f.times)
     stepper = ImplicitStepper(c, c.grid)
-    linear = _linear_frames(f0.values, stepper, t0, length, nt)
-    out = _psi_values(vals, linear, c, stepper, t0, length, nt, space.V_norm == 0.0)
+    out = _psi_values(vals, f0.values, c, stepper, t0, length, nt, space.V_norm == 0.0)
     return Trajectory(c.grid, f.times, [Field(c.grid, row) for row in out])
 
 
@@ -258,14 +253,13 @@ def _fixed_point_values(
             f"min f0 = {np.min(f0_vals):.6g}"
         )
     v_zero = space.V_norm == 0.0
-    linear = _linear_frames(f0_vals, stepper, t0, length, nt)
     u = np.tile(f0_vals, (nt + 1, 1))
     diffs: list[float] = []
     in_y = True
     rising = 0
     iterations = 0
     for _ in range(max_iter):
-        unew = _psi_values(u, linear, c, stepper, t0, length, nt, v_zero)
+        unew = _psi_values(u, f0_vals, c, stepper, t0, length, nt, v_zero)
         iterations += 1
         d = float(np.max(np.abs(unew - u)))
         diffs.append(d)
@@ -333,8 +327,7 @@ def fixed_point_solve(
     vals, report = _fixed_point_values(
         f0.values, c, space, stepper, t0, space.T, nt, tol, max_iter, iteration_log=iteration_log
     )
-    times = t0 + (space.T / nt) * np.arange(nt + 1)
-    traj = Trajectory(c.grid, times, [Field(c.grid, row) for row in vals])
+    traj = Trajectory(c.grid, _lattice(t0, space.T, nt), [Field(c.grid, row) for row in vals])
     return traj, report
 
 
@@ -378,6 +371,7 @@ class GlobalPlan:
     gamma: float
     T_prime: float
     num_windows: int
+    window: float  # the marched window length (the last window may be shorter)
 
 
 def global_solve(
@@ -425,7 +419,8 @@ def global_solve(
                 "[picard] windows (or a smaller T_final) to proceed"
             )
     plan = GlobalPlan(
-        m=bnd.m, M=bnd.M, R_prime=space.R, gamma=space.mu, T_prime=t_prime, num_windows=nw
+        m=bnd.m, M=bnd.M, R_prime=space.R, gamma=space.mu, T_prime=t_prime, num_windows=nw,
+        window=space.T,
     )
 
     stepper = ImplicitStepper(c, c.grid)
@@ -477,7 +472,7 @@ def random_y_trajectory(
     """Seeded smooth random element of Y: a four-mode low-frequency Fourier
     series with 1/k^2-decaying coefficients, mildly modulated in time,
     clipped to [mu, R]."""
-    times = (space.T / nt) * np.arange(nt + 1)
+    times = _lattice(0.0, space.T, nt)
     xs = grid.meshgrid()
     base = rng.uniform(space.mu + 0.2 * (space.R - space.mu), space.R - 0.2 * (space.R - space.mu))
     amp_scale = 0.5 * (space.R - space.mu)

@@ -232,6 +232,15 @@ def test_global_windows_flag_override(tmp_path):
     assert int(float(rows[0]["num_windows"])) == 5
 
 
+def test_global_prints_the_marched_window_length(tmp_path, capsys):
+    # with --windows each window is t_final / N long, not T' long
+    cfg = write(tmp_path, "cos.ini", COSINE)
+    out = tmp_path / "out"
+    assert main(["global", "--config", str(cfg), "--out", str(out), "--windows", "4"]) == 0
+    printed = capsys.readouterr().out
+    assert "global: 4 windows of length 0.025 (T'=" in printed
+
+
 def test_picard_takes_no_windows_flag(tmp_path):
     cfg = write(tmp_path, "vard.ini", VARIABLE_D)
     out = tmp_path / "out"
@@ -253,13 +262,24 @@ SMALL_VARIABLE_D = VARIABLE_D.replace("n = 64", "n = 32")
         ("simulate", "diag_every = 0\n", [], "[run] diag_every"),
         ("kernel-validate", "[kernel]\nladder_stride = 0\n", [], "[kernel] ladder_stride"),
         ("picard", "[picard]\nmax_iter = 0\n", [], "[picard] max_iter"),
+        ("kernel-validate", "[kernel]\nsubsteps = 10\n", [], "[kernel] ladder_stride"),
+        ("simulate", "t_final = -1\n", [], "[run] t_final"),
+        ("simulate", "mu = -0.1\n", [], "[run] mu"),
+        ("simulate", "mu = 0.3\nlambda = 1.0\n", [], "[run] lambda"),
+        ("simulate", "beta = 1.5\n", [], "[run] beta"),
+        ("simulate", "snapshot_stride = -1\n", [], "[run] snapshot_stride"),
     ],
     ids=["windows", "windows-flag", "nt", "nt_per_window", "safety", "diag_every",
-         "ladder_stride", "max_iter"],
+         "ladder_stride", "max_iter", "ladder_stride-above-substeps", "t_final", "mu",
+         "lambda", "beta", "snapshot_stride"],
 )
 def test_out_of_range_option_exits_one(tmp_path, capsys, command, extra, flags, key):
-    # SMALL_VARIABLE_D ends in its [run] section, so a bare key extends it
-    cfg = write(tmp_path, "bad.ini", SMALL_VARIABLE_D + extra)
+    # SMALL_VARIABLE_D ends in its [run] section, so a bare key extends it;
+    # its own t_final is dropped where the case sets one
+    base = SMALL_VARIABLE_D
+    if extra.startswith("t_final"):
+        base = base.replace("t_final = 0.001\n", "")
+    cfg = write(tmp_path, "bad.ini", base + extra)
     out = tmp_path / "out"
     code = main([command, "--config", str(cfg), "--out", str(out), "--quiet", *flags])
     err = capsys.readouterr().err

@@ -1,11 +1,13 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import make_spec, sample_f0
 
-from torusfp.coeff import build_coefficients
+from torusfp.coeff import build_coefficients, sample_initial_data
+from torusfp.config import load_config
 from torusfp.errors import AssumptionError, NumericsError, UsageError
 from torusfp.grid import Field, TorusGrid, Trajectory
 from torusfp.picard import (
@@ -434,3 +436,50 @@ def test_nonuniform_lattice_rejected(heat64):
     tr = Trajectory(c.grid, times, [f0] * 3)
     with pytest.raises(UsageError, match="uniform"):
         psi_map(tr, f0, c, space)
+
+
+def test_psi_accepts_the_lattice_of_a_late_window():
+    # T = 4.55e-9 after t0 = 0.5: the steps carry the rounding of 0.5 + k*T/8,
+    # relative to one step far above 1e-12, yet the lattice is uniform
+    run = load_config(Path(__file__).parents[1] / "configs" / "variable-temperature.ini")
+    c = build_coefficients(run.problem)
+    f0 = sample_initial_data(run.problem)
+    space = picard_space(f0, c)
+    traj, _ = fixed_point_solve(f0, c, space, nt=8, t0=0.5)
+    again = psi_map(traj, f0, c, space)
+    assert np.array_equal(again.times, traj.times)
+    assert np.max(np.abs(again.values_matrix() - traj.values_matrix())) <= 1e-7
+
+
+def test_psi_matches_the_two_part_duhamel_form(rng):
+    # reference: the free evolution of f0 plus the separately accumulated
+    # source term, both advanced by the same backward-Euler steps; the
+    # time-dependent mobility refactors the implicit operator at every step
+    from torusfp.kernel import ImplicitStepper
+    from torusfp.picard import _nonlinear_source
+
+    spec = make_spec(n=32, d="2+cos(2*pi*x1)", pi="1+0.1*t", f0="1+0.25*cos(2*pi*x1)")
+    c = build_coefficients(spec)
+    assert not c.time_independent_pi
+    f0 = sample_f0(spec)
+    space = picard_space(f0, c)
+    assert space.V_norm > 0
+    nt = 16
+    f = random_y_trajectory(space, c.grid, rng, nt=nt)
+
+    stepper = ImplicitStepper(c, c.grid)
+    vals = f.values_matrix()
+    delta = space.T / nt
+    linear = f0.values
+    source_acc = np.zeros(c.grid.n_cells)
+    reference = [f0.values]
+    for m in range(nt):
+        ta, tb = m * delta, (m + 1) * delta
+        t_mid = ta + 0.5 * delta
+        linear = stepper.advance(linear, ta, tb)
+        src = _nonlinear_source(c, 0.5 * (vals[m] + vals[m + 1]), t_mid)
+        source_acc = stepper.advance(source_acc, ta, tb) + delta * stepper.advance(src, t_mid, tb)
+        reference.append(linear + source_acc)
+
+    got = psi_map(f, f0, c, space).values_matrix()
+    assert np.max(np.abs(got - np.array(reference))) <= 1e-13
