@@ -310,11 +310,16 @@ def cmd_sweep(config_paths: list[Path], out_root: Path, seed: int | None, quiet:
 
     if jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {jobs}")
-    jobs = min(jobs, len(config_paths), os.cpu_count() or 1)
-    tasks = []
+    # each config writes to out_root / its stem; refuse a shared stem before
+    # any run starts, since one run would overwrite (or race) the other
+    sources: dict[Path, Path] = {}
     for cp in config_paths:
         out_dir = out_root / cp.stem
-        tasks.append((str(cp), str(out_dir), seed, True))
+        if out_dir in sources:
+            raise UsageError(f"sweep configs {sources[out_dir]} and {cp} would both write {out_dir}")
+        sources[out_dir] = cp
+    jobs = min(jobs, len(config_paths), os.cpu_count() or 1)
+    tasks = [(str(cp), str(out_dir), seed, True) for out_dir, cp in sources.items()]
     worst = _EXIT_OK
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -106,9 +106,10 @@ class CoefficientSet:
 
     ``pi_at``, ``V_at`` and ``W_at`` are pure functions of time; for a
     time-independent mobility they return cached samples.  The certified
-    constants are grid extrema: theta is the least sampled D/pi (the uniform
-    parabolicity constant), W_inf/W_sup bracket the sampled zeroth-order
-    coefficient over the time window.
+    constants are grid extrema over the time samples of ``build_coefficients``:
+    theta is the least sampled D/pi (the uniform parabolicity constant),
+    W_inf/W_sup bracket the zeroth-order coefficient and V_sup is the sup
+    norm of V.
     """
 
     grid: TorusGrid
@@ -123,34 +124,18 @@ class CoefficientSet:
     C_pi_up: float
     W_inf: float
     W_sup: float
+    V_sup: float
     beta_declared: float
     time_independent_pi: bool
-    problem: ProblemSpec | None = None
+    problem: ProblemSpec
 
     def v_sup_norm(self) -> float:
         """Sup norm of V over the grid and the certified times."""
-        sup = 0.0
-        for t in self._sample_times():
-            v = self.V_at(t)
-            mag = np.zeros(self.grid.n_cells)
-            for comp in v.components:
-                mag += comp * comp
-            sup = max(sup, float(np.sqrt(np.max(mag))))
-        return sup
-
-    def _sample_times(self) -> np.ndarray:
-        if self.time_independent_pi or self.problem is None:
-            return np.array([0.0])
-        return _time_samples(self.problem)
+        return self.V_sup
 
 
 # interior time samples of a time-dependent mobility
 _TIME_SAMPLES = 64
-
-
-def _time_samples(spec: ProblemSpec) -> np.ndarray:
-    # uniform interior samples plus both endpoints
-    return np.linspace(0.0, spec.T_final, _TIME_SAMPLES + 2)
 
 
 def build_coefficients(spec: ProblemSpec) -> CoefficientSet:
@@ -189,13 +174,18 @@ def build_coefficients(spec: ProblemSpec) -> CoefficientSet:
             )
         return vals
 
+    def v_of(p: np.ndarray) -> VectorField:
+        return VectorField(grid, tuple(c / p for c in grad_d.components))
+
+    def w_of(p: np.ndarray) -> Field:
+        return divergence(VectorField(grid, tuple(c / p for c in grad_phi.components)))
+
     if time_independent:
-        pi0 = pi_values(0.0)
-        v0 = VectorField(grid, tuple(c / pi0 for c in grad_d.components))
-        w0 = divergence(VectorField(grid, tuple(c / pi0 for c in grad_phi.components)))
+        pi0 = Field(grid, pi_values(0.0))
+        v0, w0 = v_of(pi0.values), w_of(pi0.values)
 
         def pi_at(t: float) -> Field:
-            return Field(grid, pi0)
+            return pi0
 
         def V_at(t: float) -> VectorField:
             return v0
@@ -209,25 +199,29 @@ def build_coefficients(spec: ProblemSpec) -> CoefficientSet:
             return Field(grid, pi_values(t))
 
         def V_at(t: float) -> VectorField:
-            p = pi_values(t)
-            return VectorField(grid, tuple(c / p for c in grad_d.components))
+            return v_of(pi_values(t))
 
         def W_at(t: float) -> Field:
-            p = pi_values(t)
-            return divergence(VectorField(grid, tuple(c / p for c in grad_phi.components)))
+            return w_of(pi_values(t))
 
-    times = np.array([0.0]) if time_independent else _time_samples(spec)
+    # uniform interior samples plus both endpoints
+    times = [0.0] if time_independent else np.linspace(0.0, spec.T_final, _TIME_SAMPLES + 2)
     theta = np.inf
     pi_low, pi_up = np.inf, -np.inf
     w_inf, w_sup = np.inf, -np.inf
+    v_sup = 0.0
     for t in times:
         p = pi_values(float(t))
         theta = min(theta, float(np.min(d_vals / p)))
         pi_low = min(pi_low, float(np.min(p)))
         pi_up = max(pi_up, float(np.max(p)))
-        w = W_at(float(t)).values
+        w = w_of(p).values
         w_inf = min(w_inf, float(np.min(w)))
         w_sup = max(w_sup, float(np.max(w)))
+        mag = np.zeros(grid.n_cells)
+        for comp in v_of(p).components:
+            mag += comp * comp
+        v_sup = max(v_sup, float(np.sqrt(np.max(mag))))
 
     return CoefficientSet(
         grid=grid,
@@ -242,6 +236,7 @@ def build_coefficients(spec: ProblemSpec) -> CoefficientSet:
         C_pi_up=pi_up,
         W_inf=w_inf,
         W_sup=w_sup,
+        V_sup=v_sup,
         beta_declared=spec.beta_declared,
         time_independent_pi=time_independent,
         problem=spec,
@@ -277,16 +272,16 @@ class AssumptionReport:
             raise AssumptionError(f"assumption(s) {names} fail: {details}")
 
 
-def resolved_mu(spec: ProblemSpec | None, f0: Field) -> float:
+def resolved_mu(spec: ProblemSpec, f0: Field) -> float:
     """The configured mu, else min(f0)/4."""
-    if spec is not None and spec.mu is not None:
+    if spec.mu is not None:
         return spec.mu
     return float(np.min(f0.values)) / 4.0
 
 
-def resolved_lambda(spec: ProblemSpec | None, f0: Field) -> float:
+def resolved_lambda(spec: ProblemSpec, f0: Field) -> float:
     """The configured lambda, else max(f0)."""
-    if spec is not None and spec.lam is not None:
+    if spec.lam is not None:
         return spec.lam
     return float(np.max(f0.values))
 
@@ -304,7 +299,9 @@ def validate_assumptions(c: CoefficientSet, f0: Field, spec: ProblemSpec) -> Ass
     lam = resolved_lambda(spec, f0)
     checks = []
 
-    k = int(np.argmin(c.D.values / c.pi_at(0.0).values))
+    pi0 = c.pi_at(0.0).values
+    a = c.D.values / pi0
+    k = int(np.argmin(a))
     checks.append(
         AssumptionCheck(
             "A1", c.theta > 0, f"min D/pi = {c.theta:.12g} at {c.grid.point(k)}", c.theta
@@ -313,15 +310,13 @@ def validate_assumptions(c: CoefficientSet, f0: Field, spec: ProblemSpec) -> Ass
 
     # Boundedness of the non-divergence-form coefficients and of V; the
     # Hoelder exponent itself is only declared.
-    a_sup = float(np.max(c.D.values / c.pi_at(0.0).values))
-    grad_a = gradient(Field(c.grid, c.D.values / c.pi_at(0.0).values))
-    pi0 = c.pi_at(0.0).values
+    a_sup = float(np.max(a))
+    grad_a = gradient(Field(c.grid, a))
     first_order = 0.0
     for gphi, ga in zip(gradient(c.phi).components, grad_a.components):
         first_order = max(first_order, float(np.max(np.abs(gphi / pi0 + ga))))
     w_sup = max(abs(c.W_inf), abs(c.W_sup))
-    v_sup = c.v_sup_norm()
-    bound = max(a_sup, first_order, w_sup, v_sup)
+    bound = max(a_sup, first_order, w_sup, c.V_sup)
     checks.append(
         AssumptionCheck(
             "A2",

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeff import CoefficientSet, Tolerances
+from .coeff import CoefficientSet
 from .errors import NumericsError
 from .grid import Field, gradient, integrate
 
@@ -47,18 +47,21 @@ def _require_positive(f: Field, what: str):
 
 
 def _gibbs_values(c: CoefficientSet, C: float) -> np.ndarray:
-    return np.exp(-(c.phi.values - C) / c.D.values)
+    # an overflow to inf is a valid sign of the mass defect while bracketing
+    with np.errstate(over="ignore"):
+        return np.exp(-(c.phi.values - C) / c.D.values)
 
 
 def equilibrium_state(c: CoefficientSet, mass: float) -> EquilibriumState:
     """Find the Gibbs state exp(-(phi - C)/D) whose total mass matches, to
-    the relative tolerance ``[tolerances] root`` of ``c.problem`` (its
-    default when there is no problem).
+    the relative tolerance ``[tolerances] root`` of ``c.problem``.
 
     The mass defect g(C) = integrate(exp(-(phi-C)/D)) - mass is strictly
     increasing in C (D > 0), so bisection is unconditionally safe.  An exact
     constant-D guess is tried first, then the bracket is expanded
-    geometrically until the sign changes.
+    geometrically until the sign changes.  When exp(-phi/D) under- or
+    overflows, the guess is the mean of phi + D log(mass), whose extrema
+    bracket the root on the unit torus.
     """
     if mass <= 0:
         raise NumericsError(f"mass must be positive, got {mass}")
@@ -68,11 +71,13 @@ def equilibrium_state(c: CoefficientSet, mass: float) -> EquilibriumState:
     def defect(C: float) -> float:
         return hdim * float(np.sum(_gibbs_values(c, C))) - mass
 
-    tol = (c.problem.tolerances if c.problem is not None else Tolerances()).root * mass
-    # exact for constant D; a good starting point otherwise
-    d_mean = float(np.mean(c.D.values))
-    base = hdim * float(np.sum(np.exp(-c.phi.values / c.D.values)))
-    C = d_mean * np.log(mass / base)
+    tol = c.problem.tolerances.root * mass
+    base = hdim * float(np.sum(_gibbs_values(c, 0.0)))
+    if 0 < base < np.inf:
+        # exact for constant D; a good starting point otherwise
+        C = float(np.mean(c.D.values)) * np.log(mass / base)
+    else:
+        C = float(np.mean(c.phi.values + c.D.values * np.log(mass)))
     g = defect(C)
     if abs(g) <= tol:
         return EquilibriumState(Field(grid, _gibbs_values(c, C)), float(C), mass)

@@ -35,9 +35,11 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-# Potential jumps below this relative threshold are rounding noise of
-# mu = D log f + phi (exactly zero in exact arithmetic at the equilibrium);
-# snapping them keeps the sampled equilibrium steady to the last bit.
+# Potential jumps below this threshold, relative to the rounding scale
+# |D log f| + |phi| + D of mu = D log f + phi (its two terms, plus D times
+# the rounding log f inherits from f), are rounding noise (exactly zero in
+# exact arithmetic at the equilibrium); snapping them keeps the sampled
+# equilibrium steady to the last bit.
 _SNAP_REL = 1e-14
 
 _DT_MIN = 1e-12
@@ -77,14 +79,16 @@ def _face_terms(grid: TorusGrid, u: np.ndarray, c: CoefficientSet, t: float) -> 
     i + e_a, ``dmu`` the potential jump over h, ``snap`` the jumps that are
     rounding noise, ``up_sel`` where the mobility is upwinded from i + e_a,
     ``f_up`` the upwinded density and ``pi_face`` the face-averaged pi."""
-    mu = c.D.values * np.log(u) + c.phi.values
+    d_log = c.D.values * np.log(u)
+    mu = d_log + c.phi.values
+    scale = np.abs(d_log) + np.abs(c.phi.values) + c.D.values
     pi_vals = c.pi_at(t).values
     terms = []
     for a in range(grid.dim):
         up = grid.neighbors(+1, a)
         mu_up = mu[up]
         dmu = (mu_up - mu) / grid.h
-        snap = np.abs(mu_up - mu) <= _SNAP_REL * np.maximum(np.abs(mu), np.abs(mu_up))
+        snap = np.abs(mu_up - mu) <= _SNAP_REL * np.maximum(scale, scale[up])
         up_sel = dmu > 0
         f_up = np.where(up_sel, u[up], u)
         pi_face = 0.5 * (pi_vals + pi_vals[up])
@@ -156,7 +160,7 @@ def _implicit_step(
     u = f_vals.copy()
     g = residual(u)
     norm = float(np.max(np.abs(g)))
-    # residual kinks of size ~ f * SNAP_REL * |mu| * dt/h^2 from flux
+    # residual kinks of size ~ f * SNAP_REL * scale * dt/h^2 from flux
     # snapping put a floor under the achievable residual
     floor = max(cfg.newton_tol, 1e-10 * (1.0 + float(np.max(np.abs(f_vals)))))
     for _ in range(cfg.max_newton_iter):

@@ -10,7 +10,7 @@ approximate kernel values K(x_i, t; y_j, s).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sparse
@@ -389,18 +389,10 @@ def _frozen_pi(c: CoefficientSet) -> CoefficientSet:
     """Stationary view with the mobility frozen at t=0 (for validators)."""
     if c.time_independent_pi:
         return c
-    from dataclasses import replace
+    from .coeff import build_coefficients
 
-    pi0 = c.pi_at(0.0)
-    v0 = c.V_at(0.0)
-    w0 = c.W_at(0.0)
-    return replace(
-        c,
-        pi_at=lambda t: pi0,
-        V_at=lambda t: v0,
-        W_at=lambda t: w0,
-        time_independent_pi=True,
-    )
+    # the t=0 sample enters as a table, which is time-independent by construction
+    return build_coefficients(replace(c.problem, pi_coeff=c.pi_at(0.0)))
 
 
 def _integral_constants(
@@ -477,9 +469,6 @@ def validate_integral_bounds(
 
     c1, c2, c3 = _integral_constants(cc, grid, times, substeps, beta)
 
-    if c.problem is None:
-        return IntegralBoundsReport(c1, c2, c3, np.nan, np.nan, np.nan, False, beta,
-                                    notes + "no problem spec attached; refinement skipped")
     try:
         spec2 = c.problem.with_resolution(2 * grid.n_per_axis)
     except UsageError:

@@ -116,7 +116,7 @@ def _horizon(
     vanishes the formula does not involve C and T' is used as is.  Returns
     the space Y (mu = gamma, R = R', T = the shrunk horizon) and T'.
     """
-    v_norm = c.v_sup_norm()
+    v_norm = c.V_sup
     c_gauss = fit_duhamel_constant(c, c.grid) if v_norm > 0 else 1.0
     t_prime, r_prime, gamma = time_bound_primed(
         mu, m, big_m, sup_norm(f0), c_gauss, v_norm, c.W_inf, c.W_sup
@@ -400,10 +400,9 @@ def global_solve(
         raise UsageError("f0 and coefficients must share one grid")
     if T_final <= 0:
         raise UsageError("T_final must be positive")
-    if c.problem is not None:
-        from .coeff import validate_assumptions
+    from .coeff import validate_assumptions
 
-        validate_assumptions(c, f0, c.problem).require()
+    validate_assumptions(c, f0, c.problem).require()
     eq = equilibrium_state(c, integrate(f0))
     bnd = apriori_bounds(f0, eq, c)
     space, t_prime = _horizon(f0, c, resolved_mu(c.problem, f0), bnd.m, bnd.M, safety)

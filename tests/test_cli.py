@@ -372,6 +372,28 @@ def test_sweep_clamps_jobs(tmp_path, monkeypatch):
     assert seen == [2, 3, 2]
 
 
+def test_sweep_refuses_configs_sharing_a_stem(tmp_path, capsys, monkeypatch):
+    def no_start(*args, **kwargs):
+        raise AssertionError("a run or worker started")
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_start)
+    monkeypatch.setattr("torusfp.cli._run_one", no_start)
+    a = write(tmp_path, "heat.ini", HEAT)
+    (tmp_path / "other").mkdir()
+    b = write(tmp_path / "other", "heat.ini", HEAT)
+    code = main(["sweep", "--configs", str(a), str(b), "--out", str(tmp_path / "s"), "--jobs", "2"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert str(a) in err and str(b) in err
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("offset", ["800", "-800"])
+def test_equilibrium_with_a_large_potential_offset(tmp_path, offset):
+    cfg = write(tmp_path, "offset.ini", COSINE.replace("phi = cos", f"phi = {offset} + cos"))
+    assert main(["equilibrium", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 0
+
+
 def test_sweep_rejects_nonpositive_jobs(tmp_path, capsys):
     a = write(tmp_path, "a.ini", HEAT)
     code = main(["sweep", "--configs", str(a), "--out", str(tmp_path / "s"), "--jobs", "0", "--quiet"])

@@ -148,3 +148,19 @@ def test_problem_spec_validation():
         make_spec(mu=0.5, lam=1.0)  # needs lam >= 4 mu
     with pytest.raises(UsageError):
         make_spec(beta=1.5)
+
+
+def test_v_sup_is_certified_over_the_time_samples():
+    spec = make_spec(
+        n=64, d="2+cos(2*pi*x1)", pi="1+0.2*sin(2*pi*t)+0.2*cos(2*pi*x1)", t_final=0.7
+    )
+    c = build_coefficients(spec)
+    # reference: the sup of |V| over the grid at 64 interior times plus both ends
+    sup = 0.0
+    for t in np.linspace(0.0, spec.T_final, 66):
+        mag = np.zeros(c.grid.n_cells)
+        for comp in c.V_at(float(t)).components:
+            mag += comp * comp
+        sup = max(sup, float(np.sqrt(np.max(mag))))
+    assert c.V_sup == sup
+    assert c.v_sup_norm() == sup

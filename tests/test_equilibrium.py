@@ -170,3 +170,12 @@ def test_envelopes_sandwich_initial_data(cosine128, rng):
         assert np.all(b.lower_env.values <= f0.values + 1e-12)
         assert np.all(f0.values <= b.upper_env.values + 1e-12)
         assert np.all(b.lower_env.values <= b.upper_env.values)
+
+
+@pytest.mark.parametrize("offset", [800.0, -800.0])
+def test_equilibrium_ignores_a_large_potential_offset(offset):
+    # exp(-phi/D) under- (+800) or overflows (-800) in the constant-D guess
+    ref = equilibrium_state(build_coefficients(make_spec(phi="0.5*cos(2*pi*x1)")), 1.0)
+    c = build_coefficients(make_spec(phi=f"{offset!r} + 0.5*cos(2*pi*x1)"))
+    eq = equilibrium_state(c, 1.0)
+    assert np.max(np.abs(eq.f_eq.values / ref.f_eq.values - 1.0)) <= 1e-12

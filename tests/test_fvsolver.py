@@ -282,3 +282,28 @@ def test_cross_solver_agreement_on_heat_window():
     for k in range(nsteps):
         vals = fv._implicit_step(c.grid, vals, c, (k + 1) * dt, dt, FVConfig())
     assert np.max(np.abs(vals - traj.frames[-1].values)) <= 1e-3
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(
+    n=st.sampled_from([16, 32]),
+    d0=st.floats(0.2, 3.0),
+    d1=st.floats(0.0, 0.9),
+    p1=st.floats(0.0, 0.5),
+    p2=st.floats(0.0, 0.5),
+    log_b=st.floats(-3.0, 0.7),
+)
+@example(n=32, d0=1.0, d1=0.0, p1=0.0, p2=0.0, log_b=-3.0)
+def test_equilibrium_is_steady_on_generated_coefficients(n, d0, d1, p1, p2, log_b):
+    # at mass 1 the constant C_eq is near 0, so the rounding of mu is set by
+    # D log f and phi, not by |mu|
+    b = 10.0**log_b
+    spec = make_spec(
+        n=n,
+        d=f"{d0!r}*(1 + {d1!r}*cos(2*pi*x1))",
+        pi=f"1 + {p1!r}*cos(2*pi*x1) + {p2!r}*sin(2*pi*t)",
+        phi=f"{b!r}*cos(2*pi*x1) + {b / 2!r}*sin(6*pi*x1)",
+    )
+    c = build_coefficients(spec)
+    f_eq = equilibrium_state(c, 1.0).f_eq
+    assert np.array_equal(fv_step(f_eq, c, 0.0, 0.9 / n, FVConfig()).values, f_eq.values)

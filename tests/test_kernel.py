@@ -289,3 +289,16 @@ def test_propagator_2d_row_masses():
     assert np.max(np.abs(p.row_masses() - 1.0)) <= 1e-8
     out = apply_propagator(p, Field.constant(c.grid, 2.0))
     assert np.max(np.abs(out.values - 2.0)) <= 1e-8
+
+
+def test_frozen_mobility_is_the_t0_sample():
+    from torusfp.kernel import _frozen_pi
+
+    spec = make_spec(n=32, d="2+cos(2*pi*x1)", phi="cos(2*pi*x1)", pi="1+0.2*sin(2*pi*t)+0.2*cos(2*pi*x1)")
+    c = build_coefficients(spec)
+    frozen = _frozen_pi(c)
+    assert frozen.time_independent_pi
+    assert np.array_equal(frozen.pi_at(0.37).values, c.pi_at(0.0).values)
+    assert np.array_equal(frozen.W_at(0.37).values, c.W_at(0.0).values)
+    for got, want in zip(frozen.V_at(0.37).components, c.V_at(0.0).components):
+        assert np.array_equal(got, want)
