@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import expressions as ex
-from .errors import AssumptionError, UsageError, check_ranges
+from .errors import AssumptionError, ExprDomainError, UsageError, check_ranges
 from .grid import Field, TorusGrid, VectorField, divergence, gradient
 
 __all__ = [
@@ -91,7 +91,11 @@ def _sample(entry, grid: TorusGrid, t: float, what: str) -> np.ndarray:
             raise UsageError(
                 f"{what} uses variable x{ex.max_var_index(entry)} but the problem is {grid.dim}-d"
             )
-        return ex.eval_on_grid(entry, grid, t)
+        try:
+            return ex.eval_on_grid(entry, grid, t)
+        except ExprDomainError as err:
+            when = f" at t={t:.6g}" if what == "pi" else ""
+            raise UsageError(f"{what} is undefined on the grid{when}: {err}") from err
     raise UsageError(f"{what} must be an expression or a tabulated Field")
 
 

@@ -190,6 +190,10 @@ def load_config(path) -> RunConfig:
     n = _get(cp, "grid", "n", int, None)
     if n is None:
         raise UsageError("config [grid] must set n")
+    check_ranges("grid", {"dim": dim, "n": n}, (
+        ("dim", dim in (1, 2), "1 or 2"),
+        ("n", n >= 8, ">= 8"),
+    ))
     grid = TorusGrid(dim, n)
     base = path.parent
 

@@ -387,7 +387,8 @@ def to_source(e: Expr) -> str:
         else:
             if lp < p:
                 left = f"({left})"
-            if rp < p or (rp == p and e.op in ("-", "/")):
+            # left-associative: a right child of equal precedence regroups
+            if rp <= p:
                 right = f"({right})"
         return f"{left} {e.op} {right}" if e.op in "+-" else f"{left}{e.op}{right}"
     raise AssertionError(type(e))

@@ -120,12 +120,10 @@ def _newton_matrix(
 ) -> sparse.csc_matrix:
     """Exact Jacobian of u - dt * div J(u) (the implicit-step residual
     without the constant previous-state term)."""
-    n = grid.n_cells
     h = grid.h
     dmu_du = c.D.values / u
-    rows, cols, data = [], [], []
-    eye = np.arange(n)
-    diag = np.ones(n)
+    diag = np.ones(grid.n_cells)
+    neighbor_coeffs = []
     for a, (nbr, dmu, snap, up_sel, f_up, pi_face) in enumerate(_face_terms(grid, u, c, t)):
         prev = grid.neighbors(-1, a)
         # dJ_face/du_i and dJ_face/du_{i+1}
@@ -135,20 +133,9 @@ def _newton_matrix(
         djb[snap] = 0.0
         # residual_i = u_i - f_i - dt/h * (J_a[i] - J_a[prev_a(i)])
         diag -= dt / h * dja
-        rows.append(eye)
-        cols.append(nbr)
-        data.append(-dt / h * djb)
-        rows.append(eye)
-        cols.append(prev)
-        data.append(dt / h * dja[prev])
+        neighbor_coeffs.append((-dt / h * djb, dt / h * dja[prev]))
         diag += dt / h * djb[prev]
-    rows.append(eye)
-    cols.append(eye)
-    data.append(diag)
-    m = sparse.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    )
-    return m.tocsc()
+    return grid.stencil_matrix(diag, neighbor_coeffs)
 
 
 def _implicit_step(

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sparse
 
 from .errors import UsageError
 
@@ -39,7 +40,9 @@ class TorusGrid:
 
     dim: int
     n_per_axis: int
-    _neighbors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # read-only index arrays built once per grid: neighbour maps and the
+    # CSC layout of the periodic stencil
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim not in (1, 2):
@@ -91,13 +94,37 @@ class TorusGrid:
         """Read-only flat indices of the periodic neighbours ``shift`` cells
         along ``axis``: ``values[grid.neighbors(s, a)][k]`` is the value at
         cell k + s*e_a.  Built once per grid object."""
-        idx = self._neighbors.get((shift, axis))
+        idx = self._cache.get((shift, axis))
         if idx is None:
             idx = np.arange(self.n_cells).reshape(self.shape)
             idx = np.roll(idx, -shift, axis=self.numpy_axis(axis)).ravel()
             idx.setflags(write=False)
-            self._neighbors[(shift, axis)] = idx
+            self._cache[(shift, axis)] = idx
         return idx
+
+    def stencil_matrix(self, diag: np.ndarray, neighbor_coeffs) -> sparse.csc_matrix:
+        """CSC matrix of the periodic (2*dim+1)-point stencil: row k holds
+        ``diag[k]`` at column k and, per axis a with pair ``(up, down)`` in
+        ``neighbor_coeffs``, ``up[k]`` at k + e_a and ``down[k]`` at k - e_a.
+        The sorted ``indices``, ``indptr`` and slot order are built once per
+        grid object and shared, read-only, by every matrix."""
+        n, width = self.n_cells, 2 * self.dim + 1
+        layout = self._cache.get("stencil")
+        if layout is None:
+            # data slots: (+e_a, -e_a) per axis, then the diagonal
+            cols = [self.neighbors(s, a) for a in range(self.dim) for s in (+1, -1)]
+            cols = np.concatenate(cols + [np.arange(n)])
+            order = np.lexsort((np.tile(np.arange(n), width), cols))  # by column, then row
+            idx_dtype = np.int32 if n * width < 2**31 else np.int64
+            # the stencil is symmetric, so every column holds width entries
+            indptr = np.arange(0, n * width + 1, width, dtype=idx_dtype)
+            layout = ((order % n).astype(idx_dtype), indptr, order)
+            for arr in layout:
+                arr.setflags(write=False)
+            self._cache["stencil"] = layout
+        indices, indptr, order = layout
+        data = np.concatenate([c for pair in neighbor_coeffs for c in pair] + [diag])[order]
+        return sparse.csc_matrix((data, indices, indptr), shape=(n, n))
 
 
 def _as_readonly(a) -> np.ndarray:

@@ -10,6 +10,7 @@ approximate kernel values K(x_i, t; y_j, s).
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -39,41 +40,25 @@ __all__ = [
 ]
 
 
-def assemble_lfp(c: CoefficientSet, grid: TorusGrid, t: float) -> sparse.csr_matrix:
+def assemble_lfp(c: CoefficientSet, grid: TorusGrid, t: float) -> sparse.csc_matrix:
     """Sparse divergence-form operator: face-averaged D/pi diffusion,
     central grad(phi)/pi drift, and the zeroth-order coefficient W."""
     if grid != c.grid:
         raise UsageError("coefficient set and grid mismatch")
-    n = grid.n_cells
     h = grid.h
     pi_vals = c.pi_at(t).values
     a = c.D.values / pi_vals
     grad_phi = gradient(c.phi)
-    w = c.W_at(t).values
 
-    rows, cols, data = [], [], []
-    diag = w.copy()
-    eye = np.arange(n)
+    diag = c.W_at(t).values.copy()
+    neighbor_coeffs = []
     for axis in range(grid.dim):
-        up = grid.neighbors(+1, axis)
-        dn = grid.neighbors(-1, axis)
-        a_up = 0.5 * (a + a[up]) / h**2
-        a_dn = 0.5 * (a + a[dn]) / h**2
+        a_up = 0.5 * (a + a[grid.neighbors(+1, axis)]) / h**2
+        a_dn = 0.5 * (a + a[grid.neighbors(-1, axis)]) / h**2
         b = grad_phi.components[axis] / pi_vals / (2.0 * h)
-        rows.append(eye)
-        cols.append(up)
-        data.append(a_up + b)
-        rows.append(eye)
-        cols.append(dn)
-        data.append(a_dn - b)
+        neighbor_coeffs.append((a_up + b, a_dn - b))
         diag -= a_up + a_dn
-    rows.append(eye)
-    cols.append(eye)
-    data.append(diag)
-    L = sparse.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    )
-    return L.tocsr()
+    return grid.stencil_matrix(diag, neighbor_coeffs)
 
 
 class ImplicitStepper:
@@ -93,7 +78,7 @@ class ImplicitStepper:
         lu = self._lu_cache.get(dt)
         if lu is None:
             L = assemble_lfp(self.c, self.grid, t_mid)
-            lu = self._factor(sparse.identity(self.grid.n_cells, format="csc") - dt * L.tocsc())
+            lu = self._factor(sparse.identity(self.grid.n_cells, format="csc") - dt * L)
             if self.c.time_independent_pi:
                 self._lu_cache[dt] = lu
         return lu
@@ -117,6 +102,36 @@ class ImplicitStepper:
                 f"time-dependent mobility requires steps with dt <= 1e-2, got {dt:.3g}"
             )
         return self._lu(t0 + 0.5 * dt, dt).solve(values)
+
+
+def _physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _require_memory(nbytes: int, what: str) -> None:
+    """Refuse, before any allocation, a dense request larger than physical memory."""
+    total = _physical_memory()
+    if nbytes > total:
+        raise UsageError(
+            f"{what} needs about {nbytes / 2**30:.3g} GiB, more than the "
+            f"{total / 2**30:.3g} GiB of physical memory; use a smaller n or fewer substeps"
+        )
+
+
+def _propagator_bytes(grid: TorusGrid, substeps: int, keep_ladder: bool, ladder_stride: int) -> int:
+    """float64 bytes build_propagator holds at once: the kept ladder plus
+    three N x N matrices (running product, solve output, scaled result)."""
+    kept = substeps // ladder_stride if keep_ladder else 0
+    return 8 * grid.n_cells**2 * (kept + 3)
+
+
+def _integral_bounds_bytes(grid: TorusGrid, substeps: int) -> int:
+    """Peak float64 bytes of _integral_constants: the ladder with its row
+    gradients and their magnitudes, (dim + 2) N x N matrices per substep,
+    plus the Hoelder accumulation's (N, N, dim, N) difference, its square
+    and their (N, N, N) sum."""
+    n, d = grid.n_cells, grid.dim
+    return 8 * (substeps * (d + 2) * n**2 + (2 * d + 1) * n**3)
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,6 +183,7 @@ def build_propagator(
         raise UsageError(f"need t > s, got s={s}, t={t}")
     if substeps < 1:
         raise UsageError("substeps must be >= 1")
+    _require_memory(_propagator_bytes(grid, substeps, keep_ladder, ladder_stride), "the propagator")
     stepper = ImplicitStepper(c, grid)
     n = grid.n_cells
     hdim = grid.h**grid.dim
@@ -467,11 +483,16 @@ def validate_integral_bounds(
     if cc is not c:
         notes = "mobility frozen at t=0 for this validation; "
 
-    c1, c2, c3 = _integral_constants(cc, grid, times, substeps, beta)
-
     try:
         spec2 = c.problem.with_resolution(2 * grid.n_per_axis)
     except UsageError:
+        spec2 = None  # table-backed: no refinement
+    grids = [grid] if spec2 is None else [grid, spec2.make_grid()]
+    _require_memory(max(_integral_bounds_bytes(g, substeps) for g in grids),
+                    "the integral-bound validation")
+
+    c1, c2, c3 = _integral_constants(cc, grid, times, substeps, beta)
+    if spec2 is None:
         return IntegralBoundsReport(c1, c2, c3, np.nan, np.nan, np.nan, False, beta,
                                     notes + "table-backed problem; refinement skipped")
     from .coeff import build_coefficients

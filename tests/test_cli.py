@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -268,17 +269,22 @@ SMALL_VARIABLE_D = VARIABLE_D.replace("n = 64", "n = 32")
         ("simulate", "mu = 0.3\nlambda = 1.0\n", [], "[run] lambda"),
         ("simulate", "beta = 1.5\n", [], "[run] beta"),
         ("simulate", "snapshot_stride = -1\n", [], "[run] snapshot_stride"),
+        ("equilibrium", "[grid]\ndim = 1\nn = 4\n", [], "[grid] n"),
+        ("equilibrium", "[grid]\ndim = 3\nn = 32\n", [], "[grid] dim"),
     ],
     ids=["windows", "windows-flag", "nt", "nt_per_window", "safety", "diag_every",
          "ladder_stride", "max_iter", "ladder_stride-above-substeps", "t_final", "mu",
-         "lambda", "beta", "snapshot_stride"],
+         "lambda", "beta", "snapshot_stride", "grid-n", "grid-dim"],
 )
 def test_out_of_range_option_exits_one(tmp_path, capsys, command, extra, flags, key):
     # SMALL_VARIABLE_D ends in its [run] section, so a bare key extends it;
-    # its own t_final is dropped where the case sets one
+    # its own t_final is dropped where the case sets one, and its [grid]
+    # section is replaced by the case's
     base = SMALL_VARIABLE_D
     if extra.startswith("t_final"):
         base = base.replace("t_final = 0.001\n", "")
+    if extra.startswith("[grid]"):
+        base, extra = extra + base[base.index("\n[coefficients]"):], ""
     cfg = write(tmp_path, "bad.ini", base + extra)
     out = tmp_path / "out"
     code = main([command, "--config", str(cfg), "--out", str(out), "--quiet", *flags])
@@ -287,6 +293,28 @@ def test_out_of_range_option_exits_one(tmp_path, capsys, command, extra, flags, 
     assert "code=1" in err and key in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key, expr", [("D", "1/x1"), ("f0", "log(x1)")])
+def test_undefined_coefficient_exits_one(tmp_path, capsys, key, expr):
+    text = re.sub(rf"^{key} = .*$", f"{key} = {expr}", SMALL_VARIABLE_D, flags=re.M)
+    cfg = write(tmp_path, "undefined.ini", text)
+    code = main(["equilibrium", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "code=1" in err and f"{key} is undefined" in err
+    assert "Traceback" not in err
+
+
+def test_oversized_kernel_validate_exits_one(tmp_path, capsys, monkeypatch):
+    import torusfp.kernel as kernel
+
+    monkeypatch.setattr(kernel, "_physical_memory", lambda: 2**16)
+    cfg = write(tmp_path, "heat.ini", HEAT)
+    code = main(["kernel-validate", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "code=1" in err and "GiB" in err and "physical memory" in err
 
 
 def test_global_refusal_names_the_window_flag(tmp_path, capsys):

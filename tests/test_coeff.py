@@ -164,3 +164,9 @@ def test_v_sup_is_certified_over_the_time_samples():
         sup = max(sup, float(np.sqrt(np.max(mag))))
     assert c.V_sup == sup
     assert c.v_sup_norm() == sup
+
+
+def test_undefined_mobility_names_pi_and_the_time():
+    spec = make_spec(pi="1 + sqrt(0.5 - t)")
+    with pytest.raises(UsageError, match=r"pi is undefined on the grid at t=0\.5\d*: sqrt"):
+        build_coefficients(spec)

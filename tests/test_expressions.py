@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from torusfp import expressions as ex
 from torusfp.errors import (
@@ -74,6 +76,31 @@ def test_roundtrip_corpus(src):
     tree = ex.parse_expr(src)
     printed = ex.to_source(tree)
     assert ex.parse_expr(printed) == tree
+
+
+# expression trees over the whole grammar for the round-trip property; the
+# parser reads a literal's sign as a unary minus, so literals are non-negative
+def _trees(children):
+    return st.one_of(
+        children.map(ex.Neg),
+        st.builds(ex.BinOp, st.sampled_from("+-*/^"), children, children),
+        st.builds(ex.Call, st.sampled_from(ex._FUNCTIONS), children),
+    )
+
+
+_LEAVES = st.one_of(
+    st.floats(min_value=0.0, allow_infinity=False).map(ex.Num),
+    st.sampled_from(("x1", "x2", "t")).map(ex.Var),
+    st.just(ex.PiConst()),
+)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(st.recursive(_LEAVES, _trees, max_leaves=12))
+# 0.1 + 0.2 + 0.3 would reparse as (0.1 + 0.2) + 0.3, which sums to 0.6000000000000001
+@example(ex.parse_expr("0.1 + (0.2 + 0.3)"))
+def test_roundtrip_generated_trees(tree):
+    assert ex.parse_expr(ex.to_source(tree)) == tree
 
 
 def test_precedence_suite():

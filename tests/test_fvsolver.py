@@ -307,3 +307,36 @@ def test_equilibrium_is_steady_on_generated_coefficients(n, d0, d1, p1, p2, log_
     c = build_coefficients(spec)
     f_eq = equilibrium_state(c, 1.0).f_eq
     assert np.array_equal(fv_step(f_eq, c, 0.0, 0.9 / n, FVConfig()).values, f_eq.values)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 16), (2, 8)])
+def test_newton_matrix_is_the_residual_jacobian(dim, n):
+    # central differences of u - f - dt * div J(u) at a non-equilibrium u,
+    # where no potential jump sits near an upwind switch or a snap
+    import torusfp.fvsolver as fv
+
+    x2 = "*(1 + 0.3*sin(2*pi*x2))" if dim == 2 else ""
+    spec = make_spec(
+        n=n,
+        dim=dim,
+        d=f"2 + cos(2*pi*x1){x2}",
+        pi="1 + 0.2*sin(2*pi*x1) + 0.1*t",
+        phi=f"cos(2*pi*x1){x2}",
+    )
+    c = build_coefficients(spec)
+    g = c.grid
+    u = 1.0 + 0.5 * np.random.default_rng(dim).random(g.n_cells)
+    t, dt = 0.3, 0.2 * g.h**2
+
+    def residual(v):
+        return v - dt * fv._flux_divergence(g, fv._face_fluxes(g, v, c, t))
+
+    eps = 1e-6
+    fd = np.empty((g.n_cells, g.n_cells))
+    for j in range(g.n_cells):
+        step = np.zeros(g.n_cells)
+        step[j] = eps
+        fd[:, j] = (residual(u + step) - residual(u - step)) / (2 * eps)
+    jac = fv._newton_matrix(g, u, c, t, dt).toarray()
+    assert np.count_nonzero(jac) == (2 * dim + 1) * g.n_cells
+    assert np.max(np.abs(jac - fd)) <= 1e-8 * np.max(np.abs(jac))

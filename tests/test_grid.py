@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 from torusfp.grid import (
     Field,
@@ -74,6 +75,34 @@ def test_neighbors_is_the_roll_permutation(dim):
             assert np.array_equal(values[nbr], rolled)
             assert not nbr.flags.writeable
             assert g.neighbors(shift, axis) is nbr
+
+
+@pytest.mark.parametrize("n", [8, 9, 16])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_stencil_matrix_matches_a_coo_reference(dim, n):
+    g = TorusGrid(dim, n)
+    rng = np.random.default_rng(10 * n + dim)
+    diag = rng.standard_normal(g.n_cells)
+    pairs = [(rng.standard_normal(g.n_cells), rng.standard_normal(g.n_cells)) for _ in range(dim)]
+    eye = np.arange(g.n_cells)
+    rows, cols, data = [eye], [eye], [diag]
+    for axis, (up, down) in enumerate(pairs):
+        rows += [eye, eye]
+        cols += [g.neighbors(+1, axis), g.neighbors(-1, axis)]
+        data += [up, down]
+    ref = sparse.coo_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(g.n_cells, g.n_cells),
+    ).tocsc()
+    m = g.stencil_matrix(diag, pairs)
+    assert m.format == "csc" and m.has_sorted_indices
+    for attr in ("indices", "indptr", "data"):
+        got, want = getattr(m, attr), getattr(ref, attr)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    # the layout is built once per grid and shared read-only
+    again = g.stencil_matrix(2.0 * diag, pairs)
+    assert np.shares_memory(again.indices, m.indices) and not m.indices.flags.writeable
+    assert np.shares_memory(again.indptr, m.indptr) and not m.indptr.flags.writeable
 
 
 def _roll_central(values, g, axis):

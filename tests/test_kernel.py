@@ -3,6 +3,7 @@ import pytest
 
 from conftest import make_spec
 
+import torusfp.kernel as kernel
 from torusfp.coeff import build_coefficients
 from torusfp.errors import NumericsError, UsageError
 from torusfp.grid import Field, TorusGrid, integrate
@@ -302,3 +303,24 @@ def test_frozen_mobility_is_the_t0_sample():
     assert np.array_equal(frozen.W_at(0.37).values, c.W_at(0.0).values)
     for got, want in zip(frozen.V_at(0.37).components, c.V_at(0.0).components):
         assert np.array_equal(got, want)
+
+
+def test_memory_estimates_cover_the_dense_temporaries():
+    # kernel-validate on a 2-D n=16 grid refines to n=32 (N = 1024 cells),
+    # whose Hoelder accumulation allocates a (1024, 1024, 2, 1024) float64 array
+    assert kernel._integral_bounds_bytes(TorusGrid(2, 32), 64) >= 8 * 1024**3 * 2
+    assert kernel._integral_bounds_bytes(TorusGrid(2, 16), 64) < 2**30
+    assert kernel._propagator_bytes(TorusGrid(1, 64), 600, True, 20) == 8 * 64**2 * (30 + 3)
+    assert kernel._propagator_bytes(TorusGrid(1, 64), 600, False, 20) == 8 * 64**2 * 3
+
+
+def test_requests_beyond_physical_memory_are_refused(heat64, monkeypatch):
+    _, c = heat64
+    monkeypatch.setattr(kernel, "_physical_memory", lambda: 2**16)
+    with pytest.raises(UsageError, match="the propagator needs about"):
+        build_propagator(c, c.grid, 0.0, 0.01, 10)
+    # the n=128 refinement's estimate is checked before the n=64 grid is built
+    monkeypatch.setattr(kernel, "_physical_memory", lambda: kernel._integral_bounds_bytes(c.grid, 8))
+    monkeypatch.setattr(kernel, "_integral_constants", lambda *args: pytest.fail("built first"))
+    with pytest.raises(UsageError, match="integral-bound validation needs about"):
+        validate_integral_bounds(c, c.grid, [0.005, 0.01], substeps=8)
