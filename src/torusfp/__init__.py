@@ -58,6 +58,7 @@ from .picard import (
     FixedPointReport,
     GlobalPlan,
     PicardSpace,
+    WindowReport,
     contraction_ratio,
     continuity_check,
     fixed_point_solve,

@@ -15,6 +15,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -225,6 +226,11 @@ def cmd_global(run: RunConfig, out: _Out) -> int:
         "m,M,R_prime,gamma,T_prime,num_windows",
         [(plan.m, plan.M, plan.R_prime, plan.gamma, plan.T_prime, plan.num_windows)],
     )
+    out.csv(
+        "windows.csv",
+        "window,iterations,empirical_contraction,lower_margin,upper_margin",
+        [astuple(w) for w in plan.window_reports],
+    )
     stride = max(1, math.ceil(len(traj.frames) / 200))
     for i, frame in enumerate(traj.frames):
         if i % stride == 0 or i == len(traj.frames) - 1:
@@ -244,6 +250,8 @@ def cmd_kernel_validate(run: RunConfig, out: _Out) -> int:
     grid = c.grid
     ko = run.kernel
     rows = []
+    # first, so that an oversized request is refused before any other work
+    ib = validate_integral_bounds(c, grid, ko.integral_times, substeps=ko.integral_substeps)
 
     p = build_propagator(
         c, grid, 0.0, ko.horizon, ko.substeps, keep_ladder=True, ladder_stride=ko.ladder_stride
@@ -265,7 +273,6 @@ def cmd_kernel_validate(run: RunConfig, out: _Out) -> int:
         )
     )
 
-    ib = validate_integral_bounds(c, grid, ko.integral_times, substeps=ko.integral_substeps)
     rows.append(
         (
             "integral_bounds",

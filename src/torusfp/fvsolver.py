@@ -190,13 +190,21 @@ def _implicit_step(
 def _explicit_step(
     grid: TorusGrid, f_vals: np.ndarray, c: CoefficientSet, t: float, dt: float
 ) -> np.ndarray:
-    if dt < _DT_MIN:
-        raise NumericsError(f"explicit step size fell below {_DT_MIN:g} while restoring positivity")
-    out = f_vals + dt * _flux_divergence(grid, _face_fluxes(grid, f_vals, c, t))
-    if np.min(out) <= 0:
-        half = _explicit_step(grid, f_vals, c, t, 0.5 * dt)
-        return _explicit_step(grid, half, c, t + 0.5 * dt, 0.5 * dt)
-    return out
+    """Forward-Euler step; a segment whose update is not positive is
+    replaced by its two halves, and the segments run left to right."""
+    pending = [(t, dt)]  # the leftmost segment last
+    while pending:
+        t, dt = pending.pop()
+        if dt < _DT_MIN:
+            raise NumericsError(
+                f"explicit step size fell below {_DT_MIN:g} while restoring positivity"
+            )
+        out = f_vals + dt * _flux_divergence(grid, _face_fluxes(grid, f_vals, c, t))
+        if np.min(out) <= 0:
+            pending += [(t + 0.5 * dt, 0.5 * dt), (t, 0.5 * dt)]
+        else:
+            f_vals = out
+    return f_vals
 
 
 def _step(

@@ -93,7 +93,8 @@ class ImplicitStepper:
             ) from err
 
     def advance(self, values: np.ndarray, t0: float, t1: float) -> np.ndarray:
-        """Advance raw values from t0 to t1 in one backward-Euler step."""
+        """Advance raw values from t0 to t1 in one backward-Euler step; a
+        2-D ``values`` holds one state per column."""
         if t1 <= t0:
             raise UsageError("advance requires t1 > t0")
         dt = t1 - t0
@@ -102,6 +103,20 @@ class ImplicitStepper:
                 f"time-dependent mobility requires steps with dt <= 1e-2, got {dt:.3g}"
             )
         return self._lu(t0 + 0.5 * dt, dt).solve(values)
+
+    def advance_each(self, columns: np.ndarray, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
+        """Advance column k of the (N, K) ``columns`` from t0[k] to t1[k].
+
+        For a time-independent mobility the operator depends on the step
+        length only, so when the K step lengths agree to rounding the block
+        is one multi-right-hand-side solve with the first column's factor;
+        otherwise each column is its own ``advance``."""
+        rounding = 8.0 * np.finfo(float).eps * float(np.max(np.abs(t1)))
+        if self.c.time_independent_pi and np.ptp(t1 - t0) <= rounding:
+            return self.advance(columns, t0[0], t1[0])
+        return np.column_stack(
+            [self.advance(columns[:, k], t0[k], t1[k]) for k in range(columns.shape[1])]
+        )
 
 
 def _physical_memory() -> int:

@@ -28,6 +28,7 @@ __all__ = [
     "PicardSpace",
     "GlobalPlan",
     "FixedPointReport",
+    "WindowReport",
     "time_bound",
     "time_bound_primed",
     "picard_space",
@@ -181,18 +182,23 @@ def _psi_values(
     """The Duhamel map of the frames ``fvals`` on the window lattice, as the
     recurrence out[m+1] = S_delta out[m] + delta * S_{delta/2} src_m with src_m
     the source at the midpoint average of fvals[m], fvals[m+1]; when V
-    vanishes src = 0 and the frames are the free evolution of f0."""
+    vanishes src = 0 and the frames are the free evolution of f0.
+
+    No half step depends on the recurrence, so all of them are advanced
+    first, as one block."""
     times = _lattice(t0, length, nt)
     delta = length / nt
+    if not v_zero:
+        mids = times[:-1] + 0.5 * delta
+        favg = 0.5 * (fvals[:-1] + fvals[1:])
+        srcs = np.array([_nonlinear_source(c, favg[m], mids[m]) for m in range(nt)])
+        kicks = delta * stepper.advance_each(srcs.T, mids, times[1:]).T
     out = np.empty_like(fvals)
     out[0] = f0_vals
     for m in range(nt):
-        ta, tb = times[m], times[m + 1]
-        out[m + 1] = stepper.advance(out[m], ta, tb)
+        out[m + 1] = stepper.advance(out[m], times[m], times[m + 1])
         if not v_zero:
-            t_mid = ta + 0.5 * delta
-            src = _nonlinear_source(c, 0.5 * (fvals[m] + fvals[m + 1]), t_mid)
-            out[m + 1] += delta * stepper.advance(src, t_mid, tb)
+            out[m + 1] += kicks[m]
     return out
 
 
@@ -364,6 +370,20 @@ def continuity_check(
 
 
 @dataclass(frozen=True)
+class WindowReport:
+    """The Picard iteration of one ``global_solve`` window: its count, its
+    largest ratio of successive differences, and the margins of its frames
+    inside the a priori envelope, min - m and M - max (negative within
+    the envelope tolerance)."""
+
+    index: int
+    iterations: int
+    empirical_contraction: float
+    lower_margin: float
+    upper_margin: float
+
+
+@dataclass(frozen=True)
 class GlobalPlan:
     m: float
     M: float
@@ -372,6 +392,7 @@ class GlobalPlan:
     T_prime: float
     num_windows: int
     window: float  # the marched window length (the last window may be shorter)
+    window_reports: tuple[WindowReport, ...] = ()  # filled in by the march
 
 
 def global_solve(
@@ -391,10 +412,11 @@ def global_solve(
     Every computed frame is checked against the a priori envelope
     [m - envelope_tol, M + envelope_tol]; seam frames are asserted
     bit-identical across windows.  The returned trajectory holds the seam
-    frames (window boundaries).  Marching refuses to start when the window
-    horizon would require more than _MAX_WINDOWS windows (the honest horizon
-    is tiny for strongly nonlinear problems; num_windows_override takes
-    responsibility for longer windows).
+    frames (window boundaries) and the returned plan one WindowReport per
+    window.  Marching refuses to start when the window horizon would
+    require more than _MAX_WINDOWS windows (the honest horizon is tiny for
+    strongly nonlinear problems; num_windows_override takes responsibility
+    for longer windows).
     """
     if f0.grid != c.grid:
         raise UsageError("f0 and coefficients must share one grid")
@@ -426,11 +448,12 @@ def global_solve(
     cur = f0.values
     seam_times = [0.0]
     seams = [cur]
+    reports = []
     for k in range(nw):
         start = k * space.T
         length = space.T if k < nw - 1 else T_final - start
         try:
-            vals, _rep = _fixed_point_values(
+            vals, rep = _fixed_point_values(
                 cur,
                 c,
                 space,
@@ -454,12 +477,15 @@ def global_solve(
                 f"(min={lo:.6g} vs m={bnd.m:.6g}, max={hi:.6g} vs M={bnd.M:.6g}); "
                 "discretization error"
             )
+        reports.append(
+            WindowReport(k, rep.iterations, rep.empirical_contraction, lo - bnd.m, bnd.M - hi)
+        )
         cur = vals[-1]
         seam_times.append(start + length)
         seams.append(cur)
 
     traj = Trajectory(c.grid, np.asarray(seam_times), [Field(c.grid, v) for v in seams])
-    return traj, plan
+    return traj, replace(plan, window_reports=tuple(reports))
 
 
 def random_y_trajectory(

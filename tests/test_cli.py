@@ -210,6 +210,29 @@ def test_global_command_outputs(tmp_path):
     assert (out / "seam_000000.csv").exists()
 
 
+def test_global_writes_one_report_row_per_window(tmp_path, monkeypatch):
+    # the mean iteration count is the benchmark's traced ratio, divergence
+    # calls / (nt_per_window * windows): one source divergence per lattice
+    # interval per Picard iteration (the calls cover both runs)
+    import torusfp.picard as picard
+
+    calls = []
+    divergence = picard.divergence
+    monkeypatch.setattr(picard, "divergence", lambda v: calls.append(1) or divergence(v))
+    cfg = write(tmp_path, "vard.ini", SMALL_VARIABLE_D)
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert main(["global", "--config", str(cfg), "--out", str(out), "--quiet", "--windows", "4"]) == 0
+    header, rows = read_csv_rows(outs[0] / "windows.csv")
+    assert header == ["window", "iterations", "empirical_contraction", "lower_margin", "upper_margin"]
+    assert [int(r["window"]) for r in rows] == [0, 1, 2, 3]
+    nt = load_config(cfg).picard.nt_per_window
+    iterations = [int(r["iterations"]) for r in rows]
+    assert 2 * nt * sum(iterations) == len(calls)
+    assert all(float(r["lower_margin"]) >= 0 and float(r["upper_margin"]) >= 0 for r in rows)
+    assert (outs[0] / "windows.csv").read_bytes() == (outs[1] / "windows.csv").read_bytes()
+
+
 def test_picard_flag_overrides(tmp_path):
     cfg = write(tmp_path, "vard.ini", VARIABLE_D)
     out = tmp_path / "out"
@@ -315,6 +338,21 @@ def test_oversized_kernel_validate_exits_one(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert code == 1
     assert "code=1" in err and "GiB" in err and "physical memory" in err
+
+
+def test_oversized_kernel_validate_is_refused_before_any_propagator(tmp_path, capsys, monkeypatch):
+    import torusfp.cli as cli
+    import torusfp.kernel as kernel
+
+    monkeypatch.setattr(kernel, "_physical_memory", lambda: 2**16)
+    monkeypatch.setattr(
+        cli, "build_propagator", lambda *a, **k: pytest.fail("a propagator was built")
+    )
+    cfg = write(tmp_path, "heat.ini", HEAT)
+    code = main(["kernel-validate", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "the integral-bound validation needs about" in err and "GiB" in err
 
 
 def test_global_refusal_names_the_window_flag(tmp_path, capsys):

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from torusfp import expressions as ex
@@ -190,3 +192,36 @@ def test_uses_time_and_var_index():
     assert not ex.uses_time(ex.parse_expr("cos(2*pi*x1)"))
     assert ex.max_var_index(ex.parse_expr("x1*x2")) == 2
     assert ex.max_var_index(ex.parse_expr("7")) == 0
+
+
+# source strings over the operators, unary minus and x1: flat chains of
+# signed operands, some of them parenthesized chains, so that the value
+# depends on the precedence and associativity rules; float literals keep
+# Python's value in floating point too (an integer power tower is exact and
+# unbounded)
+_PRECEDENCE_LEAVES = st.sampled_from(("0.0", "0.5", "1.0", "1.5", "2.0", "3.0", "0.25", "x1"))
+_BINARY = ("+", "-", "*", "/", "^", " + ", " - ", " * ", " / ", " ^ ")
+
+
+def _chains(children):
+    term = st.builds(lambda sign, a: sign + a, st.sampled_from(("", "", "-", "--")), children)
+    chain = st.builds(
+        lambda first, rest: first + "".join(op + b for op, b in rest),
+        term,
+        st.lists(st.tuples(st.sampled_from(_BINARY), term), min_size=1, max_size=4),
+    )
+    return st.one_of(chain, chain.map(lambda c: f"({c})"))
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(st.recursive(_PRECEDENCE_LEAVES, _chains, max_leaves=12))
+@example("-2.0^2.0 + 2.0^3.0^2.0 - 12.0/4.0/3.0 * 2.0^-1.0 - -x1")
+def test_precedence_matches_python(src):
+    x1 = 0.37
+    try:
+        got = ex.eval_expr(ex.parse_expr(src), [x1])
+        want = eval(src.replace("^", "**"), {"__builtins__": {}}, {"x1": x1})
+    except (ExprDomainError, ZeroDivisionError, OverflowError):
+        assume(False)
+    assume(isinstance(want, float) and math.isfinite(want))
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)

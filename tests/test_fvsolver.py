@@ -175,6 +175,37 @@ def test_explicit_positivity_rescue():
     assert np.min(out.values) > 0
 
 
+def test_explicit_nested_halving_is_unchanged(monkeypatch):
+    # the full step, its first half and first quarter go negative, so the
+    # step runs as eighth, eighth, quarter, half; the expected state is the
+    # output of the recursive halving this loop replaced
+    import torusfp.fvsolver as fv
+
+    spec = make_spec(n=8, phi="cos(2*pi*x1)", f0="0.05+0.9*(0.5+0.5*cos(2*pi*x1))^8")
+    c = build_coefficients(spec)
+    f = sample_f0(spec)
+    times = []
+    face_fluxes = fv._face_fluxes
+
+    def recording(grid, u, cc, t):
+        times.append(t)
+        return face_fluxes(grid, u, cc, t)
+
+    monkeypatch.setattr(fv, "_face_fluxes", recording)
+    out = fv._explicit_step(c.grid, f.values, c, 0.0, 0.03)
+    assert times == [0.0, 0.0, 0.0, 0.0, 0.00375, 0.0075, 0.015]
+    expected = [
+        "0x1.64d68a590b5e2p-3", "0x1.f051d366a3f08p-5", "0x1.0f314c02b3501p-2",
+        "0x1.5826a18501f24p-2", "0x1.44839e1d9a034p-2", "0x1.5826a18501f24p-2",
+        "0x1.0f314c02b3503p-2", "0x1.f051d366a3f00p-5",
+    ]
+    assert [float(v).hex() for v in out] == expected
+    # with the floor above an eighth step the third halving is refused
+    monkeypatch.setattr(fv, "_DT_MIN", 0.005)
+    with pytest.raises(NumericsError, match="positivity"):
+        fv._explicit_step(c.grid, f.values, c, 0.0, 0.03)
+
+
 def test_explicit_dt_floor_raises():
     import torusfp.fvsolver as fv
 

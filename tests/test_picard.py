@@ -483,3 +483,74 @@ def test_psi_matches_the_two_part_duhamel_form(rng):
 
     got = psi_map(f, f0, c, space).values_matrix()
     assert np.max(np.abs(got - np.array(reference))) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "dim, n, d",
+    [(1, 32, "2+cos(2*pi*x1)"), (2, 16, "2+cos(2*pi*x1)*cos(2*pi*x2)")],
+)
+def test_psi_block_solve_matches_the_per_frame_loop(rng, monkeypatch, dim, n, d):
+    # the time-independent twin of the test above: psi_map advances its
+    # half steps as one (N, nt) block, the reference one frame at a time
+    import torusfp.picard as picard
+    from torusfp.kernel import ImplicitStepper
+    from torusfp.picard import _nonlinear_source
+
+    spec = make_spec(n=n, dim=dim, d=d, f0="1+0.25*cos(2*pi*x1)")
+    c = build_coefficients(spec)
+    assert c.time_independent_pi
+    f0 = sample_f0(spec)
+    space = picard_space(f0, c)
+    assert space.V_norm > 0
+    nt = 16
+    f = random_y_trajectory(space, c.grid, rng, nt=nt)
+
+    stepper = ImplicitStepper(c, c.grid)
+    vals = f.values_matrix()
+    delta = space.T / nt
+    reference = [f0.values]
+    for m in range(nt):
+        ta, tb = m * delta, (m + 1) * delta
+        t_mid = ta + 0.5 * delta
+        src = _nonlinear_source(c, 0.5 * (vals[m] + vals[m + 1]), t_mid)
+        kick = delta * stepper.advance(src, t_mid, tb)
+        reference.append(stepper.advance(reference[-1], ta, tb) + kick)
+
+    shapes = []
+
+    class Recording(ImplicitStepper):
+        def advance(self, values, t0, t1):
+            shapes.append(values.shape)
+            return super().advance(values, t0, t1)
+
+    monkeypatch.setattr(picard, "ImplicitStepper", Recording)
+    got = psi_map(f, f0, c, space).values_matrix()
+    assert shapes.count((c.grid.n_cells, nt)) == 1
+    assert np.max(np.abs(got - np.array(reference))) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "pi, per_iteration", [("1", lambda nt: nt + 1), ("1+0.1*t", lambda nt: 2 * nt)]
+)
+def test_advance_calls_per_picard_iteration(monkeypatch, pi, per_iteration):
+    # a time-independent mobility advances all nt half steps of an iteration
+    # in one call; a time-dependent one refactors, so each is its own call
+    import torusfp.picard as picard
+    from torusfp.kernel import ImplicitStepper
+
+    calls = []
+
+    class Counting(ImplicitStepper):
+        def advance(self, values, t0, t1):
+            calls.append(values.shape)
+            return super().advance(values, t0, t1)
+
+    spec = make_spec(n=32, d="2+cos(2*pi*x1)", pi=pi, f0="1+0.25*cos(2*pi*x1)")
+    c = build_coefficients(spec)
+    f0 = sample_f0(spec)
+    space = picard_space(f0, c)
+    monkeypatch.setattr(picard, "ImplicitStepper", Counting)
+    nt = 8
+    _, report = fixed_point_solve(f0, c, space, nt=nt)
+    assert report.iterations >= 2
+    assert len(calls) == report.iterations * per_iteration(nt)
