@@ -140,13 +140,24 @@ def _propagator_bytes(grid: TorusGrid, substeps: int, keep_ladder: bool, ladder_
     return 8 * grid.n_cells**2 * (kept + 3)
 
 
+# bytes of one row block's (rows, N, dim, N) difference in the Hoelder accumulation
+_C3_BLOCK_BYTES = 2**20
+
+
+def _c3_block_rows(grid: TorusGrid) -> int:
+    n = grid.n_cells
+    return min(n, max(1, _C3_BLOCK_BYTES // (8 * grid.dim * n**2)))
+
+
 def _integral_bounds_bytes(grid: TorusGrid, substeps: int) -> int:
-    """Peak float64 bytes of _integral_constants: the ladder with its row
-    gradients and their magnitudes, (dim + 2) N x N matrices per substep,
-    plus the Hoelder accumulation's (N, N, dim, N) difference, its square
-    and their (N, N, N) sum."""
+    """Peak float64 bytes of _integral_constants: the row gradients of the
+    ladder, dim N x N matrices per substep (each ladder matrix is dropped as
+    its gradients are formed); six N x N matrices for the Hoelder
+    accumulator, its mirror's index arrays and small temporaries; and one
+    row block of the accumulation: its (rows, N, dim, N) difference, the
+    square and their (rows, N, N) sum."""
     n, d = grid.n_cells, grid.dim
-    return 8 * (substeps * (d + 2) * n**2 + (2 * d + 1) * n**3)
+    return 8 * n**2 * (substeps * d + 6 + _c3_block_rows(grid) * (2 * d + 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -426,6 +437,27 @@ def _frozen_pi(c: CoefficientSet) -> CoefficientSet:
     return build_coefficients(replace(c.problem, pi_coeff=c.pi_at(0.0)))
 
 
+def _hoelder_sums(grads: list, grid: TorusGrid) -> np.ndarray:
+    """(N, N) matrix of sum_k h^dim sum_y |g_k[i, :, y] - g_k[j, :, y]| over
+    the ladder's row gradients g_k, added in ladder order.
+
+    Only row blocks of the upper triangle j >= i are formed; (g_i - g_j)^2
+    and (g_j - g_i)^2 are equal bit for bit, so its mirror is the full sum.
+    """
+    n, d = grid.n_cells, grid.dim
+    hdim = grid.h**d
+    rows = _c3_block_rows(grid)
+    acc = np.zeros((n, n))
+    for g in grads:
+        for i0 in range(0, n, rows):
+            i1 = min(i0 + rows, n)
+            diff = (g[i0:i1, None, :, :] - g[None, i0:, :, :]).reshape(-1, d, n)
+            acc[i0:i1, i0:] += hdim * _grad_magnitude(diff).sum(axis=1).reshape(i1 - i0, n - i0)
+    lower = np.tril_indices(n, -1)
+    acc[lower] = acc.T[lower]
+    return acc
+
+
 def _integral_constants(
     c: CoefficientSet, grid: TorusGrid, times, substeps: int, beta: float
 ) -> tuple[float, float, float]:
@@ -434,16 +466,23 @@ def _integral_constants(
     dt = t_max / substeps
     hdim = grid.h**grid.dim
 
-    ladder_mats = [m for _, m in p.ladder]
-    grads = [_row_gradients(m, grid) for m in ladder_mats]
-    mags = [_grad_magnitude(g) for g in grads]
+    # each ladder matrix is dropped as soon as its row gradients exist
+    ladder = [m for _, m in reversed(p.ladder)]
+    del p
+    grads = []
+    while ladder:
+        grads.append(_row_gradients(ladder.pop(), grid))
+
+    def max_integral(g: np.ndarray) -> float:
+        return np.max(hdim * _grad_magnitude(g).sum(axis=1))
+
     # A(tau): per-x integral of |grad_y K|, maximized over x
-    a_of_tau = np.array([np.max(hdim * mg.sum(axis=1)) for mg in mags])
+    a_of_tau = np.array([max_integral(g) for g in grads])
     # B(sigma): same for |d_tau grad_y K| (centered differences on the ladder)
     b_of_tau = np.full(substeps, np.nan)
-    for k in range(1, substeps - 1):
-        db = np.abs((grads[k + 1] - grads[k - 1]) / (2.0 * dt))
-        b_of_tau[k] = np.max(hdim * _grad_magnitude(db).sum(axis=1))
+    b_of_tau[1:-1] = [
+        max_integral((grads[k + 1] - grads[k - 1]) / (2.0 * dt)) for k in range(1, substeps - 1)
+    ]
     b_of_tau[0] = b_of_tau[1] if substeps > 2 else 0.0
     b_of_tau[-1] = b_of_tau[-2] if substeps > 2 else 0.0
 
@@ -468,13 +507,11 @@ def _integral_constants(
                 c2 = max(c2, lhs / np.sqrt(tt - tp))
 
     # Hoelder difference integral at the final time
+    acc = _hoelder_sums(grads, grid)
+    del grads
+    acc *= dt
     dist = _distance_matrix(grid)
     n = grid.n_cells
-    acc = np.zeros((n, n))
-    for mg_grads in grads:
-        diff = mg_grads[:, None, :, :] - mg_grads[None, :, :, :]
-        acc += hdim * _grad_magnitude(diff.reshape(n * n, grid.dim, n)).sum(axis=1).reshape(n, n)
-    acc *= dt
     denom = t_max ** ((1.0 - beta) / 2.0) * dist**beta
     off = ~np.eye(n, dtype=bool)
     c3 = float(np.max(acc[off] / denom[off]))

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_spec
 
@@ -306,9 +310,17 @@ def test_frozen_mobility_is_the_t0_sample():
 
 
 def test_memory_estimates_cover_the_dense_temporaries():
-    # kernel-validate on a 2-D n=16 grid refines to n=32 (N = 1024 cells),
-    # whose Hoelder accumulation allocates a (1024, 1024, 2, 1024) float64 array
-    assert kernel._integral_bounds_bytes(TorusGrid(2, 32), 64) >= 8 * 1024**3 * 2
+    # the integral-bound estimate is an upper bound on the traced peak, and a tight one
+    for dim, n in [(1, 64), (2, 8)]:
+        c = build_coefficients(make_spec(n=n, dim=dim))
+        tracemalloc.start()
+        try:
+            kernel._integral_constants(c, c.grid, [0.0, 0.005, 0.01], 64, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= kernel._integral_bounds_bytes(c.grid, 64) <= 3 * peak
+    # kernel-validate on a 2-D n=8 grid refines to n=16 (N = 256 cells)
     assert kernel._integral_bounds_bytes(TorusGrid(2, 16), 64) < 2**30
     assert kernel._propagator_bytes(TorusGrid(1, 64), 600, True, 20) == 8 * 64**2 * (30 + 3)
     assert kernel._propagator_bytes(TorusGrid(1, 64), 600, False, 20) == 8 * 64**2 * 3
@@ -324,3 +336,73 @@ def test_requests_beyond_physical_memory_are_refused(heat64, monkeypatch):
     monkeypatch.setattr(kernel, "_integral_constants", lambda *args: pytest.fail("built first"))
     with pytest.raises(UsageError, match="integral-bound validation needs about"):
         validate_integral_bounds(c, c.grid, [0.005, 0.01], substeps=8)
+
+
+def _broadcast_hoelder_sums(grads, grid):
+    """The Hoelder sums as one full (N, N, dim, N) difference per ladder matrix."""
+    n, hdim = grid.n_cells, grid.h**grid.dim
+    acc = np.zeros((n, n))
+    for g in grads:
+        diff = g[:, None, :, :] - g[None, :, :, :]
+        mags = kernel._grad_magnitude(diff.reshape(n * n, grid.dim, n))
+        acc += hdim * mags.sum(axis=1).reshape(n, n)
+    return acc
+
+
+def _ladder_gradients(c, t_max, substeps):
+    p = build_propagator(c, c.grid, 0.0, t_max, substeps, keep_ladder=True)
+    return [kernel._row_gradients(m, c.grid) for _, m in p.ladder]
+
+
+def _hoelder_constant(acc, grid, t_max, substeps, beta):
+    dist = kernel._distance_matrix(grid)
+    denom = t_max ** ((1.0 - beta) / 2.0) * dist**beta
+    off = ~np.eye(grid.n_cells, dtype=bool)
+    return float(np.max(acc[off] * (t_max / substeps) / denom[off]))
+
+
+@pytest.mark.parametrize("ragged", [False, True], ids=["default-blocks", "ragged-blocks"])
+@pytest.mark.parametrize("dim, n", [(1, 8), (1, 11), (2, 8)])
+def test_blocked_hoelder_sums_match_the_full_broadcast_bit_for_bit(monkeypatch, dim, n, ragged):
+    axes = "*cos(2*pi*x2)" if dim == 2 else ""
+    spec = make_spec(
+        n=n,
+        dim=dim,
+        d=f"1+0.5*cos(2*pi*x1){axes}",
+        pi="1+0.3*sin(2*pi*x1)",
+        phi=f"0.4*cos(2*pi*x1){axes}",
+    )
+    c = build_coefficients(spec)
+    if ragged:
+        monkeypatch.setattr(kernel, "_C3_BLOCK_BYTES", 3 * 8 * dim * c.grid.n_cells**2)
+        assert kernel._c3_block_rows(c.grid) == 3  # the last block has 1 or 2 rows
+    times, substeps = [0.0, 0.005, 0.01], 5
+    grads = _ladder_gradients(c, 0.01, substeps)
+    want = _broadcast_hoelder_sums(grads, c.grid)
+    assert np.array_equal(kernel._hoelder_sums(grads, c.grid), want)
+    _, _, c3 = kernel._integral_constants(c, c.grid, times, substeps, 0.5)
+    assert c3 == _hoelder_constant(want, c.grid, 0.01, substeps, 0.5)
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(
+    n=st.sampled_from([8, 11]),
+    d1=st.floats(0.0, 0.9),
+    p1=st.floats(0.0, 0.5),
+    b=st.floats(0.0, 0.3),
+    k=st.sampled_from([1, 2]),
+    rows=st.integers(1, 11),
+)
+def test_blocked_hoelder_sums_on_generated_coefficients(n, d1, p1, b, k, rows):
+    spec = make_spec(
+        n=n,
+        d=f"1 + {d1!r}*cos(2*pi*x1)",
+        pi=f"1 + {p1!r}*sin(2*pi*{k}*x1)",
+        phi=f"{b!r}*cos(2*pi*{k}*x1)",
+    )
+    c = build_coefficients(spec)
+    grads = _ladder_gradients(c, 0.01, 4)
+    want = _broadcast_hoelder_sums(grads, c.grid)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel, "_C3_BLOCK_BYTES", rows * 8 * n**2)
+        assert np.array_equal(kernel._hoelder_sums(grads, c.grid), want)
