@@ -96,16 +96,22 @@ def _face_terms(grid: TorusGrid, u: np.ndarray, c: CoefficientSet, t: float) -> 
     return terms
 
 
-def _face_fluxes(
-    grid: TorusGrid, u: np.ndarray, c: CoefficientSet, t: float
-) -> list[np.ndarray]:
-    """Per-axis face fluxes; entry i of axis a is the flux through face i + e_a/2."""
+def _fluxes(terms: list[tuple]) -> list[np.ndarray]:
+    """Per-axis face fluxes from ``_face_terms``; entry i of axis a is the
+    flux through face i + e_a/2."""
     fluxes = []
-    for _, dmu, snap, _, f_up, pi_face in _face_terms(grid, u, c, t):
+    for _, dmu, snap, _, f_up, pi_face in terms:
         j = f_up / pi_face * dmu
         j[snap] = 0.0
         fluxes.append(j)
     return fluxes
+
+
+def _face_fluxes(
+    grid: TorusGrid, u: np.ndarray, c: CoefficientSet, t: float
+) -> list[np.ndarray]:
+    """The face fluxes at u."""
+    return _fluxes(_face_terms(grid, u, c, t))
 
 
 def _flux_divergence(grid: TorusGrid, fluxes: list[np.ndarray]) -> np.ndarray:
@@ -116,15 +122,16 @@ def _flux_divergence(grid: TorusGrid, fluxes: list[np.ndarray]) -> np.ndarray:
 
 
 def _newton_matrix(
-    grid: TorusGrid, u: np.ndarray, c: CoefficientSet, t: float, dt: float
+    grid: TorusGrid, u: np.ndarray, c: CoefficientSet, terms: list[tuple], dt: float
 ) -> sparse.csc_matrix:
     """Exact Jacobian of u - dt * div J(u) (the implicit-step residual
-    without the constant previous-state term)."""
+    without the constant previous-state term), from the face terms
+    ``_face_terms`` computed at u."""
     h = grid.h
     dmu_du = c.D.values / u
     diag = np.ones(grid.n_cells)
     neighbor_coeffs = []
-    for a, (nbr, dmu, snap, up_sel, f_up, pi_face) in enumerate(_face_terms(grid, u, c, t)):
+    for a, (nbr, dmu, snap, up_sel, f_up, pi_face) in enumerate(terms):
         prev = grid.neighbors(-1, a)
         # dJ_face/du_i and dJ_face/du_{i+1}
         dja = (np.where(~up_sel, dmu, 0.0) - f_up * dmu_du / h) / pi_face
@@ -141,11 +148,16 @@ def _newton_matrix(
 def _implicit_step(
     grid: TorusGrid, f_vals: np.ndarray, c: CoefficientSet, t_new: float, dt: float, cfg: FVConfig
 ) -> np.ndarray:
-    def residual(u: np.ndarray) -> np.ndarray:
-        return u - f_vals - dt * _flux_divergence(grid, _face_fluxes(grid, u, c, t_new))
+    def residual(u: np.ndarray) -> tuple[np.ndarray, list[tuple], np.ndarray]:
+        """The residual at u, with the face terms and the flux divergence
+        it was built from: one face-term pass per iterate feeds the
+        residual, the Jacobian and the conservative update."""
+        terms = _face_terms(grid, u, c, t_new)
+        div = _flux_divergence(grid, _fluxes(terms))
+        return u - f_vals - dt * div, terms, div
 
     u = f_vals.copy()
-    g = residual(u)
+    g, terms, div = residual(u)
     norm = float(np.max(np.abs(g)))
     # residual kinks of size ~ f * SNAP_REL * scale * dt/h^2 from flux
     # snapping put a floor under the achievable residual
@@ -153,9 +165,9 @@ def _implicit_step(
     for _ in range(cfg.max_newton_iter):
         if norm <= cfg.newton_tol:
             break
-        jac = _newton_matrix(grid, u, c, t_new, dt)
+        jac = _newton_matrix(grid, u, c, terms, dt)
         try:
-            delta = spla.splu(jac).solve(-g)
+            delta = spla.splu(jac, permc_spec=grid.lu_column_order).solve(-g)
         except RuntimeError as err:
             raise NumericsError(f"Newton linear solve failed: {err}") from err
         lam = 1.0
@@ -163,7 +175,7 @@ def _implicit_step(
             trial = u + lam * delta
             norm_trial = math.inf
             if np.min(trial) > 0:
-                g_trial = residual(trial)
+                g_trial, terms_trial, div_trial = residual(trial)
                 norm_trial = float(np.max(np.abs(g_trial)))
             # at the floor, a step that cannot lower the residual is roundoff:
             # halving it further cannot help either
@@ -176,7 +188,7 @@ def _implicit_step(
             )
         if norm_trial >= norm:
             break
-        u, g, norm = trial, g_trial, norm_trial
+        u, g, norm, terms, div = trial, g_trial, norm_trial, terms_trial, div_trial
     else:
         if norm > floor:
             raise NumericsError(
@@ -184,7 +196,7 @@ def _implicit_step(
                 f"iterations at t={t_new:.6g} (residual {norm:.3g})"
             )
     # conservative final update: the flux-difference form telescopes exactly
-    return f_vals + dt * _flux_divergence(grid, _face_fluxes(grid, u, c, t_new))
+    return f_vals + dt * div
 
 
 def _explicit_step(

@@ -64,6 +64,13 @@ class TorusGrid:
         # spatial axis 1 (it varies fastest in the flat order)
         return (self.n_per_axis,) * self.dim
 
+    @property
+    def lu_column_order(self) -> str:
+        """SuperLU column order (``permc_spec``) for factoring the periodic
+        stencil: COLAMD in 1-D; the minimum degree order of A^T + A in 2-D,
+        where it cuts the fill of the 5-point stencil well below COLAMD's."""
+        return "COLAMD" if self.dim == 1 else "MMD_AT_PLUS_A"
+
     def numpy_axis(self, axis: int) -> int:
         """Numpy axis of spatial axis ``axis`` (0-based) in ``shape`` order."""
         if not 0 <= axis < self.dim:

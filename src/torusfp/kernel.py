@@ -83,10 +83,9 @@ class ImplicitStepper:
                 self._lu_cache[dt] = lu
         return lu
 
-    @staticmethod
-    def _factor(m):
+    def _factor(self, m):
         try:
-            return spla.splu(m)
+            return spla.splu(m, permc_spec=self.grid.lu_column_order)
         except RuntimeError as err:
             raise NumericsError(
                 f"singular implicit solve, assumptions A1/A4 likely violated: {err}"
