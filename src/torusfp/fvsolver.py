@@ -290,7 +290,7 @@ def simulate(spec: ProblemSpec, cfg: FVConfig) -> SimulationResult:
     bounds = apriori_bounds(f0, eq, c)
     env_slack = 1e-6 + grid.h**2
 
-    dt = stable_dt(f0, c, 0.0, cfg)
+    dt = min(stable_dt(f0, c, 0.0, cfg), spec.T_final)
     n_steps = max(1, int(math.ceil(spec.T_final / dt - 1e-9)))
 
     rows_t, rows_f, rows_d, rows_min, rows_max, rows_dist = [], [], [], [], [], []

@@ -64,9 +64,9 @@ def assemble_lfp(c: CoefficientSet, grid: TorusGrid, t: float) -> sparse.csc_mat
 class ImplicitStepper:
     """Backward-Euler stepping engine with LU reuse.
 
-    Each step freezes the coefficients at its midpoint.  For a
-    time-independent mobility every step shares one factorization per
-    distinct dt; otherwise the operator is refactored at each step.
+    The caller names each step: its length ``dt`` and the time ``t_mid`` at
+    which the coefficients are frozen.  A time-independent mobility keys its
+    factors on the ``dt`` the callers pass; otherwise each midpoint has its own.
     """
 
     def __init__(self, c: CoefficientSet, grid: TorusGrid):
@@ -74,16 +74,9 @@ class ImplicitStepper:
         self.grid = grid
         self._lu_cache: dict[float, object] = {}
 
-    def _lu(self, t_mid: float, dt: float):
-        lu = self._lu_cache.get(dt)
-        if lu is None:
-            L = assemble_lfp(self.c, self.grid, t_mid)
-            lu = self._factor(sparse.identity(self.grid.n_cells, format="csc") - dt * L)
-            if self.c.time_independent_pi:
-                self._lu_cache[dt] = lu
-        return lu
-
-    def _factor(self, m):
+    def _factor(self, t_mid: float, dt: float):
+        L = assemble_lfp(self.c, self.grid, t_mid)
+        m = sparse.identity(self.grid.n_cells, format="csc") - dt * L
         try:
             return spla.splu(m, permc_spec=self.grid.lu_column_order)
         except RuntimeError as err:
@@ -91,30 +84,25 @@ class ImplicitStepper:
                 f"singular implicit solve, assumptions A1/A4 likely violated: {err}"
             ) from err
 
-    def advance(self, values: np.ndarray, t0: float, t1: float) -> np.ndarray:
-        """Advance raw values from t0 to t1 in one backward-Euler step; a
-        2-D ``values`` holds one state per column."""
-        if t1 <= t0:
-            raise UsageError("advance requires t1 > t0")
-        dt = t1 - t0
-        if not self.c.time_independent_pi and dt > 1e-2:
+    def advance(self, values: np.ndarray, t_mid: float | np.ndarray, dt: float) -> np.ndarray:
+        """Advance raw values by one backward-Euler step of length dt with the
+        coefficients frozen at t_mid.  A 2-D ``values`` holds one state per
+        column, and ``t_mid`` may then hold one midpoint per column."""
+        if not dt > 0:
+            raise UsageError(f"advance requires dt > 0, got {dt:.3g}")
+        if self.c.time_independent_pi:
+            lu = self._lu_cache.get(dt)
+            if lu is None:
+                lu = self._lu_cache[dt] = self._factor(0.0, dt)
+            return lu.solve(values)
+        if dt > 1e-2:
             raise UsageError(
                 f"time-dependent mobility requires steps with dt <= 1e-2, got {dt:.3g}"
             )
-        return self._lu(t0 + 0.5 * dt, dt).solve(values)
-
-    def advance_each(self, columns: np.ndarray, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
-        """Advance column k of the (N, K) ``columns`` from t0[k] to t1[k].
-
-        For a time-independent mobility the operator depends on the step
-        length only, so when the K step lengths agree to rounding the block
-        is one multi-right-hand-side solve with the first column's factor;
-        otherwise each column is its own ``advance``."""
-        rounding = 8.0 * np.finfo(float).eps * float(np.max(np.abs(t1)))
-        if self.c.time_independent_pi and np.ptp(t1 - t0) <= rounding:
-            return self.advance(columns, t0[0], t1[0])
+        if np.ndim(t_mid) == 0:
+            return self._factor(t_mid, dt).solve(values)
         return np.column_stack(
-            [self.advance(columns[:, k], t0[k], t1[k]) for k in range(columns.shape[1])]
+            [self._factor(t, dt).solve(values[:, k]) for k, t in enumerate(t_mid)]
         )
 
 
@@ -152,9 +140,9 @@ def _integral_bounds_bytes(grid: TorusGrid, substeps: int) -> int:
     """Peak float64 bytes of _integral_constants: the row gradients of the
     ladder, dim N x N matrices per substep (each ladder matrix is dropped as
     its gradients are formed); six N x N matrices for the Hoelder
-    accumulator, its mirror's index arrays and small temporaries; and one
-    row block of the accumulation: its (rows, N, dim, N) difference, the
-    square and their (rows, N, N) sum."""
+    accumulator, its mirror's index arrays and small temporaries; and the
+    accumulation's (rows, N, dim, N) difference, (rows, N, N) magnitudes
+    and one more difference as headroom."""
     n, d = grid.n_cells, grid.dim
     return 8 * n**2 * (substeps * d + 6 + _c3_block_rows(grid) * (2 * d + 1))
 
@@ -216,7 +204,7 @@ def build_propagator(
     op = np.eye(n)
     ladder = []
     for k in range(substeps):
-        op = stepper.advance(op, s + k * dt, s + (k + 1) * dt)
+        op = stepper.advance(op, s + (k + 0.5) * dt, dt)
         if keep_ladder and (k + 1) % ladder_stride == 0:
             ladder.append((s + (k + 1) * dt, op / hdim))
     matrix = op / hdim
@@ -447,11 +435,20 @@ def _hoelder_sums(grads: list, grid: TorusGrid) -> np.ndarray:
     hdim = grid.h**d
     rows = _c3_block_rows(grid)
     acc = np.zeros((n, n))
+    # the block temporaries live in two buffers kept for the whole sum:
+    # fresh ones make the allocator map and unmap pages for every block
+    diff_buf = np.empty(rows * n * d * n)
+    mag_buf = np.empty(rows * n * n)
     for g in grads:
         for i0 in range(0, n, rows):
             i1 = min(i0 + rows, n)
-            diff = (g[i0:i1, None, :, :] - g[None, i0:, :, :]).reshape(-1, d, n)
-            acc[i0:i1, i0:] += hdim * _grad_magnitude(diff).sum(axis=1).reshape(i1 - i0, n - i0)
+            pairs = (i1 - i0) * (n - i0)
+            diff = diff_buf[: pairs * d * n].reshape(i1 - i0, n - i0, d, n)
+            np.subtract(g[i0:i1, None, :, :], g[None, i0:, :, :], out=diff)
+            mag = mag_buf[: pairs * n].reshape(pairs, n)
+            np.sum(np.square(diff, out=diff).reshape(pairs, d, n), axis=1, out=mag)
+            np.sqrt(mag, out=mag)
+            acc[i0:i1, i0:] += hdim * mag.sum(axis=1).reshape(i1 - i0, n - i0)
     lower = np.tril_indices(n, -1)
     acc[lower] = acc.T[lower]
     return acc

@@ -186,17 +186,16 @@ def _psi_values(
 
     No half step depends on the recurrence, so all of them are advanced
     first, as one block."""
-    times = _lattice(t0, length, nt)
     delta = length / nt
+    mids = _lattice(t0, length, nt)[:-1] + 0.5 * delta
     if not v_zero:
-        mids = times[:-1] + 0.5 * delta
         favg = 0.5 * (fvals[:-1] + fvals[1:])
         srcs = np.array([_nonlinear_source(c, favg[m], mids[m]) for m in range(nt)])
-        kicks = delta * stepper.advance_each(srcs.T, mids, times[1:]).T
+        kicks = delta * stepper.advance(srcs.T, mids + 0.25 * delta, 0.5 * delta).T
     out = np.empty_like(fvals)
     out[0] = f0_vals
     for m in range(nt):
-        out[m + 1] = stepper.advance(out[m], times[m], times[m + 1])
+        out[m + 1] = stepper.advance(out[m], mids[m], delta)
         if not v_zero:
             out[m + 1] += kicks[m]
     return out

@@ -57,5 +57,24 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+@pytest.fixture
+def kernel_lu_factors(monkeypatch):
+    """A list that holds one entry per sparse LU factorization made by
+    ``torusfp.kernel`` while the test runs."""
+    import types
+
+    import torusfp.kernel as kernel
+
+    factors = []
+    real = kernel.spla
+
+    def splu(*args, **kwargs):
+        factors.append(args[0].shape)
+        return real.splu(*args, **kwargs)
+
+    monkeypatch.setattr(kernel, "spla", types.SimpleNamespace(splu=splu))
+    return factors
+
+
 def sample_f0(spec):
     return sample_initial_data(spec)

@@ -363,6 +363,17 @@ def test_global_refusal_names_the_window_flag(tmp_path, capsys):
     assert "--windows" in err and "[picard] windows" in err
 
 
+def test_simulate_records_the_step_it_takes(tmp_path, capsys):
+    # the stable step (0.0140625) is longer than t_final, so the one step
+    # taken is t_final long; that step is what stdout and the manifest say
+    cfg = Path(__file__).parents[1] / "configs" / "variable-temperature.ini"
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "1 steps, dt=0.001," in capsys.readouterr().out
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["steps"], manifest["dt"]) == (1, 0.001)
+
+
 def test_kernel_validate_heat_all_pass(tmp_path):
     cfg = write(tmp_path, "heat.ini", HEAT + "\n[kernel]\nsubsteps = 300\nladder_stride = 20\n")
     out = tmp_path / "out"

@@ -257,6 +257,15 @@ def test_time_dependent_mobility_needs_fine_substeps():
     assert np.max(np.abs(p.row_masses() - 1.0)) <= 1e-8  # W = 0 still
 
 
+@pytest.mark.parametrize("s", [0.0, 0.3])
+def test_time_independent_propagator_factors_once(heat64, kernel_lu_factors, s):
+    # every substep has the caller's length dt, so the one cached factor
+    # serves all 600 of them, wherever the lattice starts
+    _, c = heat64
+    build_propagator(c, c.grid, s, s + 0.01, 600)
+    assert len(kernel_lu_factors) == 1
+
+
 def test_integral_bounds_heat_stability(heat64):
     _, c = heat64
     rep = validate_integral_bounds(c, c.grid, [0.0, 0.005, 0.01, 0.02], substeps=64)

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_spec, sample_f0
 
@@ -291,6 +293,43 @@ def test_global_solve_refuses_runaway_window_counts(cosine_d64):
         global_solve(f0, c, 1.0)
 
 
+def test_global_solve_factors_each_step_length_once(kernel_lu_factors):
+    # V != 0: the march passes its nominal delta and delta/2, so later
+    # windows reuse the first window's factors; besides those, only the
+    # fitted Duhamel kernel and a last window of rounded length may factor
+    spec = make_spec(n=32, d="2+cos(2*pi*x1)", f0="1+0.25*cos(2*pi*x1)", t_final=1e-3)
+    c = build_coefficients(spec)
+    f0 = sample_f0(spec)
+    _, plan = global_solve(f0, c, 1e-3, nt_per_window=8, num_windows_override=3)
+    assert plan.num_windows == 3
+    assert len(kernel_lu_factors) <= 5
+
+
+@settings(max_examples=8, derandomize=True, deadline=None)
+@given(
+    n=st.sampled_from([16, 32]),
+    a=st.floats(0.25, 1.0),
+    b=st.sampled_from([None, -0.2, 0.1, 0.2]),
+    amp=st.floats(0.0, 0.5),
+    k=st.integers(2, 4),
+)
+def test_global_march_with_drift_on_generated_data(n, a, b, amp, k):
+    # global_solve asserts bit-identical seams itself; here every window
+    # contracts and every seam frame stays inside the a priori envelope
+    pi = "1" if b is None else f"1+{b}*sin(2*pi*t)"
+    spec = make_spec(
+        n=n, d=f"2+{a}*cos(2*pi*x1)", pi=pi, f0=f"1+{amp}*cos(2*pi*x1)", t_final=1e-3
+    )
+    c = build_coefficients(spec)
+    f0 = sample_f0(spec)
+    traj, plan = global_solve(f0, c, 1e-3, nt_per_window=4, num_windows_override=k)
+    assert len(plan.window_reports) == k
+    assert all(r.empirical_contraction <= 0.5 for r in plan.window_reports)
+    tol = 1e-4  # global_solve's envelope_tol
+    for frame in traj.frames:
+        assert plan.m - tol <= np.min(frame.values) <= np.max(frame.values) <= plan.M + tol
+
+
 def test_global_window_seams_and_bounds():
     spec = make_spec(n=64, phi="cos(2*pi*x1)", t_final=0.1)
     c = build_coefficients(spec)
@@ -474,11 +513,12 @@ def test_psi_matches_the_two_part_duhamel_form(rng):
     source_acc = np.zeros(c.grid.n_cells)
     reference = [f0.values]
     for m in range(nt):
-        ta, tb = m * delta, (m + 1) * delta
-        t_mid = ta + 0.5 * delta
-        linear = stepper.advance(linear, ta, tb)
+        t_mid = m * delta + 0.5 * delta
+        linear = stepper.advance(linear, t_mid, delta)
         src = _nonlinear_source(c, 0.5 * (vals[m] + vals[m + 1]), t_mid)
-        source_acc = stepper.advance(source_acc, ta, tb) + delta * stepper.advance(src, t_mid, tb)
+        source_acc = stepper.advance(source_acc, t_mid, delta) + delta * stepper.advance(
+            src, t_mid + 0.25 * delta, 0.5 * delta
+        )
         reference.append(linear + source_acc)
 
     got = psi_map(f, f0, c, space).values_matrix()
@@ -510,18 +550,17 @@ def test_psi_block_solve_matches_the_per_frame_loop(rng, monkeypatch, dim, n, d)
     delta = space.T / nt
     reference = [f0.values]
     for m in range(nt):
-        ta, tb = m * delta, (m + 1) * delta
-        t_mid = ta + 0.5 * delta
+        t_mid = m * delta + 0.5 * delta
         src = _nonlinear_source(c, 0.5 * (vals[m] + vals[m + 1]), t_mid)
-        kick = delta * stepper.advance(src, t_mid, tb)
-        reference.append(stepper.advance(reference[-1], ta, tb) + kick)
+        kick = delta * stepper.advance(src, t_mid + 0.25 * delta, 0.5 * delta)
+        reference.append(stepper.advance(reference[-1], t_mid, delta) + kick)
 
     shapes = []
 
     class Recording(ImplicitStepper):
-        def advance(self, values, t0, t1):
+        def advance(self, values, t_mid, dt):
             shapes.append(values.shape)
-            return super().advance(values, t0, t1)
+            return super().advance(values, t_mid, dt)
 
     monkeypatch.setattr(picard, "ImplicitStepper", Recording)
     got = psi_map(f, f0, c, space).values_matrix()
@@ -530,20 +569,20 @@ def test_psi_block_solve_matches_the_per_frame_loop(rng, monkeypatch, dim, n, d)
 
 
 @pytest.mark.parametrize(
-    "pi, per_iteration", [("1", lambda nt: nt + 1), ("1+0.1*t", lambda nt: 2 * nt)]
+    "pi, per_iteration", [("1", lambda nt: nt + 1), ("1+0.1*t", lambda nt: nt + 1)]
 )
 def test_advance_calls_per_picard_iteration(monkeypatch, pi, per_iteration):
-    # a time-independent mobility advances all nt half steps of an iteration
-    # in one call; a time-dependent one refactors, so each is its own call
+    # all nt half steps of an iteration are one call, whatever the mobility:
+    # a time-dependent one refactors per midpoint inside the stepper
     import torusfp.picard as picard
     from torusfp.kernel import ImplicitStepper
 
     calls = []
 
     class Counting(ImplicitStepper):
-        def advance(self, values, t0, t1):
+        def advance(self, values, t_mid, dt):
             calls.append(values.shape)
-            return super().advance(values, t0, t1)
+            return super().advance(values, t_mid, dt)
 
     spec = make_spec(n=32, d="2+cos(2*pi*x1)", pi=pi, f0="1+0.25*cos(2*pi*x1)")
     c = build_coefficients(spec)
