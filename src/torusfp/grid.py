@@ -26,6 +26,7 @@ __all__ = [
     "Trajectory",
     "gradient",
     "divergence",
+    "divergence_values",
     "integrate",
     "sup_norm",
     "sup_norm_traj",
@@ -212,8 +213,10 @@ class Trajectory:
 
 
 def _central(values: np.ndarray, grid: TorusGrid, axis: int) -> np.ndarray:
-    """(v_{i+1} - v_{i-1}) / (2h) along one axis."""
-    return (values[grid.neighbors(+1, axis)] - values[grid.neighbors(-1, axis)]) / (2.0 * grid.h)
+    """(v_{i+1} - v_{i-1}) / (2h) along one axis, on the last numpy axis of
+    ``values`` (one row per leading index)."""
+    ahead, behind = grid.neighbors(+1, axis), grid.neighbors(-1, axis)
+    return (values[..., ahead] - values[..., behind]) / (2.0 * grid.h)
 
 
 def gradient(f: Field) -> VectorField:
@@ -222,21 +225,19 @@ def gradient(f: Field) -> VectorField:
     return VectorField(g, tuple(_central(f.values, g, a) for a in range(g.dim)))
 
 
-def _roll(values: np.ndarray, grid: TorusGrid, shift: int, axis: int) -> np.ndarray:
-    return np.roll(values.reshape(grid.shape), shift, axis=grid.numpy_axis(axis)).ravel()
+def divergence_values(grid: TorusGrid, components) -> np.ndarray:
+    """Central-difference divergence of per-axis components, each of shape
+    ``(..., n_cells)``: a block of rows is differenced in one pass."""
+    out = np.zeros(np.shape(components[0]))
+    for a, comp in enumerate(components):
+        out += _central(comp, grid, a)
+    return out
 
 
 def divergence(g: VectorField) -> Field:
     """Central-difference divergence, exactly adjoint to ``gradient`` under
-    the midpoint quadrature; its total integral telescopes to zero exactly.
-
-    Same values as ``_central``, by ``np.roll``: on ``TorusGrid.neighbors``
-    it is 2.6x faster, a speed change kept apart (ROADMAP item 4)."""
-    gr = g.grid
-    out = np.zeros(gr.n_cells)
-    for a, comp in enumerate(g.components):
-        out += (_roll(comp, gr, -1, a) - _roll(comp, gr, 1, a)) / (2.0 * gr.h)
-    return Field(gr, out)
+    the midpoint quadrature; its total integral telescopes to zero exactly."""
+    return Field(g.grid, divergence_values(g.grid, g.components))
 
 
 def integrate(f: Field) -> float:

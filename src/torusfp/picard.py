@@ -21,8 +21,9 @@ import numpy as np
 from .coeff import CoefficientSet, resolved_lambda, resolved_mu
 from .equilibrium import apriori_bounds, equilibrium_state
 from .errors import AssumptionError, NumericsError, UsageError
-from .grid import Field, Trajectory, VectorField, divergence, gradient, integrate, sup_norm
-from .kernel import ImplicitStepper, assemble_lfp, fit_duhamel_constant
+# ``divergence`` is unused here but kept: perfbench/tracing.py patches picard.divergence
+from .grid import Field, Trajectory, divergence, divergence_values, integrate, sup_norm
+from .kernel import ImplicitStepper, fit_duhamel_constant
 
 __all__ = [
     "PicardSpace",
@@ -37,10 +38,6 @@ __all__ = [
     "contraction_ratio",
     "continuity_check",
     "global_solve",
-    "random_y_trajectory",
-    "rhs_divergence_form",
-    "rhs_expanded_form",
-    "pde_residual",
 ]
 
 # global_solve refuses window counts above this
@@ -162,11 +159,12 @@ def _lattice(t0: float, length: float, nt: int) -> np.ndarray:
     return t0 + (length / nt) * np.arange(nt + 1)
 
 
-def _nonlinear_source(c: CoefficientSet, favg: np.ndarray, t_mid: float) -> np.ndarray:
-    v = c.V_at(t_mid)
+def _nonlinear_source(c: CoefficientSet, favg: np.ndarray, mids: np.ndarray) -> np.ndarray:
+    """The sources div(V f log f) of the ``(nt, N)`` block of midpoint
+    averages ``favg``, row m with V at ``mids[m]``, in one pass."""
     w = favg * np.log(favg)
-    vec = VectorField(c.grid, tuple(comp * w for comp in v.components))
-    return divergence(vec).values
+    v = np.stack([c.V_at(t).components for t in mids], axis=1)
+    return divergence_values(c.grid, v * w)
 
 
 def _psi_values(
@@ -189,8 +187,7 @@ def _psi_values(
     delta = length / nt
     mids = _lattice(t0, length, nt)[:-1] + 0.5 * delta
     if not v_zero:
-        favg = 0.5 * (fvals[:-1] + fvals[1:])
-        srcs = np.array([_nonlinear_source(c, favg[m], mids[m]) for m in range(nt)])
+        srcs = _nonlinear_source(c, 0.5 * (fvals[:-1] + fvals[1:]), mids)
         kicks = delta * stepper.advance(srcs.T, mids + 0.25 * delta, 0.5 * delta).T
     out = np.empty_like(fvals)
     out[0] = f0_vals
@@ -486,63 +483,3 @@ def global_solve(
     traj = Trajectory(c.grid, np.asarray(seam_times), [Field(c.grid, v) for v in seams])
     return traj, replace(plan, window_reports=tuple(reports))
 
-
-def random_y_trajectory(
-    space: PicardSpace,
-    grid,
-    rng: np.random.Generator,
-    nt: int = 64,
-) -> Trajectory:
-    """Seeded smooth random element of Y: a four-mode low-frequency Fourier
-    series with 1/k^2-decaying coefficients, mildly modulated in time,
-    clipped to [mu, R]."""
-    times = _lattice(0.0, space.T, nt)
-    xs = grid.meshgrid()
-    base = rng.uniform(space.mu + 0.2 * (space.R - space.mu), space.R - 0.2 * (space.R - space.mu))
-    amp_scale = 0.5 * (space.R - space.mu)
-    vals = np.full((nt + 1, grid.n_cells), base)
-    t_hat = times / space.T if space.T > 0 else times
-    for _ in range(4):
-        kvec = rng.integers(1, 4, size=grid.dim)
-        phase = rng.uniform(0, 2 * np.pi)
-        tphase = rng.uniform(0, 2 * np.pi)
-        amp = rng.uniform(-1, 1) * amp_scale / float(np.sum(kvec**2))
-        arg = phase
-        for a in range(grid.dim):
-            arg = arg + 2 * np.pi * kvec[a] * xs[a]
-        spatial = np.cos(arg)
-        modulation = 1.0 + 0.3 * np.cos(np.pi * t_hat + tphase)
-        vals += amp * modulation[:, None] * spatial[None, :]
-    vals = np.clip(vals, space.mu, space.R)
-    return Trajectory(grid, times, [Field(grid, row) for row in vals])
-
-
-def rhs_divergence_form(f: Field, c: CoefficientSet, t: float = 0.0) -> Field:
-    """Discrete right side in gradient-flow form: div((f/pi) grad(D log f + phi))."""
-    mu_chem = Field(f.grid, c.D.values * np.log(f.values) + c.phi.values)
-    grad_mu = gradient(mu_chem)
-    mobility = f.values / c.pi_at(t).values
-    flux = VectorField(f.grid, tuple(mobility * comp for comp in grad_mu.components))
-    return divergence(flux)
-
-
-def rhs_expanded_form(f: Field, c: CoefficientSet, t: float = 0.0) -> Field:
-    """Discrete right side in linear-plus-nonlinear form: L f + div(V f log f)."""
-    lf = assemble_lfp(c, c.grid, t) @ f.values
-    nl = _nonlinear_source(c, f.values, t)
-    return Field(f.grid, lf + nl)
-
-
-def pde_residual(traj: Trajectory, c: CoefficientSet) -> float:
-    """Sup norm of the discrete equation residual d_t f - L f - div(V f log f)
-    along a trajectory, with centered differencing on each lattice interval."""
-    vals = traj.values_matrix()
-    worst = 0.0
-    for m in range(len(traj.times) - 1):
-        delta = traj.times[m + 1] - traj.times[m]
-        t_mid = 0.5 * (traj.times[m] + traj.times[m + 1])
-        favg = Field(traj.grid, 0.5 * (vals[m] + vals[m + 1]))
-        rhs = rhs_expanded_form(favg, c, t_mid)
-        resid = (vals[m + 1] - vals[m]) / delta - rhs.values
-        worst = max(worst, float(np.max(np.abs(resid))))
-    return worst

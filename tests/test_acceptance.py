@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import make_spec, sample_f0
+from oracles import random_y_trajectory
 
 from torusfp.coeff import build_coefficients
 from torusfp.equilibrium import equilibrium_state
@@ -26,7 +27,6 @@ from torusfp.picard import (
     fixed_point_solve,
     global_solve,
     picard_space,
-    random_y_trajectory,
     time_bound,
 )
 

@@ -211,14 +211,15 @@ def test_global_command_outputs(tmp_path):
 
 
 def test_global_writes_one_report_row_per_window(tmp_path, monkeypatch):
-    # the mean iteration count is the benchmark's traced ratio, divergence
-    # calls / (nt_per_window * windows): one source divergence per lattice
-    # interval per Picard iteration (the calls cover both runs)
+    # one source block, all nt lattice intervals at once, per Picard
+    # iteration (the calls cover both runs)
     import torusfp.picard as picard
 
     calls = []
-    divergence = picard.divergence
-    monkeypatch.setattr(picard, "divergence", lambda v: calls.append(1) or divergence(v))
+    source = picard._nonlinear_source
+    monkeypatch.setattr(
+        picard, "_nonlinear_source", lambda *args: calls.append(1) or source(*args)
+    )
     cfg = write(tmp_path, "vard.ini", SMALL_VARIABLE_D)
     outs = [tmp_path / "a", tmp_path / "b"]
     for out in outs:
@@ -226,9 +227,8 @@ def test_global_writes_one_report_row_per_window(tmp_path, monkeypatch):
     header, rows = read_csv_rows(outs[0] / "windows.csv")
     assert header == ["window", "iterations", "empirical_contraction", "lower_margin", "upper_margin"]
     assert [int(r["window"]) for r in rows] == [0, 1, 2, 3]
-    nt = load_config(cfg).picard.nt_per_window
     iterations = [int(r["iterations"]) for r in rows]
-    assert 2 * nt * sum(iterations) == len(calls)
+    assert 2 * sum(iterations) == len(calls)
     assert all(float(r["lower_margin"]) >= 0 and float(r["upper_margin"]) >= 0 for r in rows)
     assert (outs[0] / "windows.csv").read_bytes() == (outs[1] / "windows.csv").read_bytes()
 

@@ -280,6 +280,40 @@ def test_implicit_structure_on_generated_data(grid, a, k, psi, b):
     assert min(r.min_f for r in res.rows) > 0
 
 
+@settings(max_examples=8, derandomize=True, deadline=None)
+@given(
+    grid=st.sampled_from([(1, 16), (1, 32), (2, 8)]),
+    a=st.floats(0.0, 0.9),
+    p1=st.floats(0.0, 0.4),
+    p2=st.one_of(st.just(0.0), st.floats(0.05, 0.4)),
+    b=st.floats(0.0, 1.0),
+    amp=st.floats(0.0, 0.6),
+    psi=st.floats(0.0, 2 * np.pi),
+)
+@example(grid=(2, 8), a=0.9, p1=0.4, p2=0.3, b=1.0, amp=0.6, psi=1.0)
+def test_implicit_structure_on_generated_coefficients(grid, a, p1, p2, b, amp, psi):
+    # the structure test above with generated D and pi (pi possibly
+    # time-dependent), over a full short run
+    dim, n = grid
+    axes = "*cos(2*pi*x2)" if dim == 2 else ""
+    spec = make_spec(
+        n=n,
+        dim=dim,
+        d=f"2 + {a!r}*cos(2*pi*x1 + {psi!r})",
+        pi=f"1 + {p1!r}*cos(2*pi*x1){axes} + {p2!r}*sin(2*pi*t)",
+        phi=f"{b!r}*cos(2*pi*x1){axes}",
+        f0=f"1 + {amp!r}*sin(2*pi*x1 + {psi!r}){axes}",
+        t_final=0.2,
+    )
+    res = simulate(spec, FVConfig(dt_safety=0.1, diag_every=1))
+    assert res.n_steps >= 10
+    mass0 = res.rows[0].mass
+    assert max(abs(r.mass - mass0) for r in res.rows) <= 1e-13 * mass0
+    fes = [r.free_energy for r in res.rows]
+    assert all(later <= earlier + 1e-12 for earlier, later in zip(fes, fes[1:]))
+    assert min(r.min_f for r in res.rows) > 0
+
+
 def test_simulate_2d_constant_and_conservation():
     spec = make_spec(
         n=12, dim=2, phi="0.2*cos(2*pi*x1)*cos(2*pi*x2)", f0="1", t_final=0.05

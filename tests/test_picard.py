@@ -7,6 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_spec, sample_f0
+from oracles import (
+    frame_source,
+    pde_residual,
+    random_y_trajectory,
+    rhs_divergence_form,
+    rhs_expanded_form,
+)
 
 from torusfp.coeff import build_coefficients, sample_initial_data
 from torusfp.config import load_config
@@ -17,12 +24,8 @@ from torusfp.picard import (
     continuity_check,
     fixed_point_solve,
     global_solve,
-    pde_residual,
     picard_space,
     psi_map,
-    random_y_trajectory,
-    rhs_divergence_form,
-    rhs_expanded_form,
     time_bound,
     time_bound_primed,
 )
@@ -432,17 +435,59 @@ def test_random_y_trajectory_lies_in_y(cosine_d64, rng):
         assert np.max(vals) <= space.R
 
 
+@settings(max_examples=8, derandomize=True, deadline=None)
+@given(
+    grid=st.sampled_from([(1, 16), (1, 32), (2, 8)]),
+    a=st.floats(0.0, 0.9),
+    p1=st.floats(0.0, 0.4),
+    p2=st.floats(0.05, 0.4),
+    nt=st.integers(1, 6),
+    seed=st.integers(0, 2**16),
+)
+def test_source_block_matches_the_per_frame_roll_formula(grid, a, p1, p2, nt, seed):
+    # every row of the block source is bit for bit, signs of zero included,
+    # the per-frame div(V f log f) by np.roll with V at its own midpoint
+    from torusfp.picard import _nonlinear_source
+
+    dim, n = grid
+    axes = "*cos(2*pi*x2)" if dim == 2 else ""
+    spec = make_spec(
+        n=n,
+        dim=dim,
+        d=f"2 + {a!r}*cos(2*pi*x1){axes}",
+        pi=f"1 + {p1!r}*sin(2*pi*x1) + {p2!r}*sin(2*pi*t)",
+    )
+    c = build_coefficients(spec)
+    g = c.grid
+    rng = np.random.default_rng(seed)
+    favg = 1.0 + 0.5 * rng.uniform(-1.0, 1.0, (nt, g.n_cells))
+    favg[rng.random(favg.shape) < 0.25] = 1.0  # w = 0 there, so V * w is a signed zero
+    mids = np.sort(rng.uniform(0.0, 1.0, nt))
+    got = _nonlinear_source(c, favg, mids)
+    assert got.shape == (nt, g.n_cells)
+    for m in range(nt):
+        v = c.V_at(mids[m]).components
+        w = favg[m] * np.log(favg[m])
+        expected = np.zeros(g.n_cells)
+        for axis, comp in enumerate(v):
+            q = (comp * w).reshape(g.shape)
+            ax = g.numpy_axis(axis)
+            expected += ((np.roll(q, -1, axis=ax) - np.roll(q, 1, axis=ax)) / (2.0 * g.h)).ravel()
+        assert got[m].tobytes() == expected.tobytes()
+    if nt > 1:
+        assert not np.array_equal(c.V_at(mids[0]).components[0], c.V_at(mids[-1]).components[0])
+
+
 def test_duhamel_term_forms_agree_by_adjointness(cosine_d64):
     # propagator applied to div(V w) equals -sum of grad_y K . (V w): the
     # two forms of the nonlinear Duhamel term coincide exactly on the grid
     from torusfp.kernel import apply_propagator, build_propagator, kernel_y_gradient
-    from torusfp.picard import _nonlinear_source
 
     spec, c = cosine_d64
     g = c.grid
     p = build_propagator(c, g, 0.0, 0.01, 20)
     f = Field.from_function(g, lambda x: 1 + 0.2 * np.cos(2 * np.pi * x))
-    src = _nonlinear_source(c, f.values, 0.0)
+    src = frame_source(c, f.values, 0.0)
     via_divergence = apply_propagator(p, Field(g, src)).values
     v = c.V_at(0.0)
     w = f.values * np.log(f.values)
@@ -495,7 +540,6 @@ def test_psi_matches_the_two_part_duhamel_form(rng):
     # source term, both advanced by the same backward-Euler steps; the
     # time-dependent mobility refactors the implicit operator at every step
     from torusfp.kernel import ImplicitStepper
-    from torusfp.picard import _nonlinear_source
 
     spec = make_spec(n=32, d="2+cos(2*pi*x1)", pi="1+0.1*t", f0="1+0.25*cos(2*pi*x1)")
     c = build_coefficients(spec)
@@ -515,7 +559,7 @@ def test_psi_matches_the_two_part_duhamel_form(rng):
     for m in range(nt):
         t_mid = m * delta + 0.5 * delta
         linear = stepper.advance(linear, t_mid, delta)
-        src = _nonlinear_source(c, 0.5 * (vals[m] + vals[m + 1]), t_mid)
+        src = frame_source(c, 0.5 * (vals[m] + vals[m + 1]), t_mid)
         source_acc = stepper.advance(source_acc, t_mid, delta) + delta * stepper.advance(
             src, t_mid + 0.25 * delta, 0.5 * delta
         )
@@ -534,7 +578,6 @@ def test_psi_block_solve_matches_the_per_frame_loop(rng, monkeypatch, dim, n, d)
     # half steps as one (N, nt) block, the reference one frame at a time
     import torusfp.picard as picard
     from torusfp.kernel import ImplicitStepper
-    from torusfp.picard import _nonlinear_source
 
     spec = make_spec(n=n, dim=dim, d=d, f0="1+0.25*cos(2*pi*x1)")
     c = build_coefficients(spec)
@@ -551,7 +594,7 @@ def test_psi_block_solve_matches_the_per_frame_loop(rng, monkeypatch, dim, n, d)
     reference = [f0.values]
     for m in range(nt):
         t_mid = m * delta + 0.5 * delta
-        src = _nonlinear_source(c, 0.5 * (vals[m] + vals[m + 1]), t_mid)
+        src = frame_source(c, 0.5 * (vals[m] + vals[m + 1]), t_mid)
         kick = delta * stepper.advance(src, t_mid + 0.25 * delta, 0.5 * delta)
         reference.append(stepper.advance(reference[-1], t_mid, delta) + kick)
 
