@@ -41,15 +41,12 @@ from .grid import (
     load_field_csv,
     save_field_csv,
     sup_norm,
-    sup_norm_traj,
 )
 from .kernel import (
     GaussianFit,
     Propagator,
     apply_propagator,
     build_propagator,
-    kernel_y_gradient,
-    periodized_heat_kernel,
     validate_gaussian_bounds,
     validate_integral_bounds,
     validate_mass_sandwich,

@@ -29,7 +29,6 @@ __all__ = [
     "divergence_values",
     "integrate",
     "sup_norm",
-    "sup_norm_traj",
     "save_field_csv",
     "load_field_csv",
 ]
@@ -247,10 +246,6 @@ def integrate(f: Field) -> float:
 
 def sup_norm(f: Field) -> float:
     return float(np.max(np.abs(f.values)))
-
-
-def sup_norm_traj(tr: Trajectory) -> float:
-    return max(sup_norm(fr) for fr in tr.frames)
 
 
 # Field snapshot files: CSV with header "x1[,x2],value", one row per cell in

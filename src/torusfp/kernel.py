@@ -1,11 +1,12 @@
 """Discrete fundamental solution (propagator) of the linear part of the
-model, a periodized heat-kernel reference, and empirical validation of the
-kernel bounds (Gaussian envelope, integral bounds, row-mass sandwich).
+model, and empirical validation of the kernel bounds (Gaussian envelope,
+integral bounds, row-mass sandwich).
 
 The propagator from time s to t is a product of single-substep implicit
 (backward Euler) solves (I - dt*L)^{-1} with coefficients frozen at each
 substep midpoint, divided by the quadrature weight so that entries
-approximate kernel values K(x_i, t; y_j, s).
+approximate kernel values K(x_i, t; y_j, s).  The integral bounds and the
+Duhamel fit read each substep's kernel as it is made and store no ladder.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import scipy.sparse.linalg as spla
 
 from .coeff import CoefficientSet
 from .errors import NumericsError, UsageError
-from .grid import Field, TorusGrid, VectorField, gradient
+from .grid import Field, TorusGrid, _central, gradient
 
 __all__ = [
     "Propagator",
@@ -29,8 +30,6 @@ __all__ = [
     "assemble_lfp",
     "build_propagator",
     "apply_propagator",
-    "kernel_y_gradient",
-    "periodized_heat_kernel",
     "validate_gaussian_bounds",
     "validate_integral_bounds",
     "validate_mass_sandwich",
@@ -120,10 +119,10 @@ def _require_memory(nbytes: int, what: str) -> None:
         )
 
 
-def _propagator_bytes(grid: TorusGrid, substeps: int, keep_ladder: bool, ladder_stride: int) -> int:
+def _propagator_bytes(grid: TorusGrid, substeps: int, ladder_stride: int | None) -> int:
     """float64 bytes build_propagator holds at once: the kept ladder plus
     three N x N matrices (running product, solve output, scaled result)."""
-    kept = substeps // ladder_stride if keep_ladder else 0
+    kept = substeps // ladder_stride if ladder_stride else 0
     return 8 * grid.n_cells**2 * (kept + 3)
 
 
@@ -136,15 +135,21 @@ def _c3_block_rows(grid: TorusGrid) -> int:
     return min(n, max(1, _C3_BLOCK_BYTES // (8 * grid.dim * n**2)))
 
 
-def _integral_bounds_bytes(grid: TorusGrid, substeps: int) -> int:
-    """Peak float64 bytes of _integral_constants: the row gradients of the
-    ladder, dim N x N matrices per substep (each ladder matrix is dropped as
-    its gradients are formed); six N x N matrices for the Hoelder
+def _integral_bounds_bytes(grid: TorusGrid) -> int:
+    """Peak float64 bytes of _integral_constants, whatever the substep count:
+    three row gradients (dim N x N each), B's difference and its squares;
+    four N x N matrices of the substep loop and six for the Hoelder
     accumulator, its mirror's index arrays and small temporaries; and the
-    accumulation's (rows, N, dim, N) difference, (rows, N, N) magnitudes
-    and one more difference as headroom."""
+    accumulation's (rows, N, dim, N) difference, (rows, N, N) magnitudes and
+    one more difference as headroom."""
     n, d = grid.n_cells, grid.dim
-    return 8 * n**2 * (substeps * d + 6 + _c3_block_rows(grid) * (2 * d + 1))
+    return 8 * n**2 * (5 * d + 10 + _c3_block_rows(grid) * (2 * d + 1))
+
+
+def _duhamel_fit_bytes(grid: TorusGrid) -> int:
+    """Peak float64 bytes of fit_duhamel_constant: four N x N matrices of the
+    substep loop, and one kernel's row gradients, their squares and magnitudes."""
+    return 8 * grid.n_cells**2 * (2 * grid.dim + 5)
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,8 +157,8 @@ class Propagator:
     """Grid-to-grid kernel K(x_i, t; y_j, s) as a dense matrix.
 
     Applying to a Field g computes h^dim * matrix @ g.values.  ``ladder``
-    (when kept) holds (time, matrix) checkpoints after every substep, used by
-    the bound validators.
+    (when a stride is given to build_propagator) holds (time, matrix)
+    checkpoints of every stride-th substep, for validate_gaussian_bounds.
     """
 
     grid: TorusGrid
@@ -178,49 +183,47 @@ class Propagator:
         return self.grid.h**self.grid.dim * np.sum(self.matrix, axis=1)
 
 
-def build_propagator(
-    c: CoefficientSet,
-    grid: TorusGrid,
-    s: float,
-    t: float,
-    substeps: int,
-    keep_ladder: bool = False,
-    ladder_stride: int = 1,
-) -> Propagator:
-    """Assemble the discrete kernel as a product of implicit substep solves.
-
-    With keep_ladder, every ladder_stride-th intermediate product is stored
-    as a (time, matrix) checkpoint for the bound validators.
-    """
+def _substep_kernels(c: CoefficientSet, grid: TorusGrid, s: float, t: float, substeps: int):
+    """The one substep loop: yield (t_k, op / h^dim) after each implicit solve
+    from s, op being their product so far.  The last kernel is checked for
+    negative entries and, when W vanishes, for unit row masses first."""
     if t <= s:
         raise UsageError(f"need t > s, got s={s}, t={t}")
     if substeps < 1:
         raise UsageError("substeps must be >= 1")
-    _require_memory(_propagator_bytes(grid, substeps, keep_ladder, ladder_stride), "the propagator")
     stepper = ImplicitStepper(c, grid)
-    n = grid.n_cells
     hdim = grid.h**grid.dim
     dt = (t - s) / substeps
-    op = np.eye(n)
-    ladder = []
+    op = np.eye(grid.n_cells)
     for k in range(substeps):
         op = stepper.advance(op, s + (k + 0.5) * dt, dt)
-        if keep_ladder and (k + 1) % ladder_stride == 0:
-            ladder.append((s + (k + 1) * dt, op / hdim))
-    matrix = op / hdim
-    worst = float(np.min(matrix))
-    if worst < -1e-6:
-        raise NumericsError(
-            f"propagator has entries down to {worst:.3g}; substepping too coarse"
-        )
-    w_scale = max(abs(c.W_inf), abs(c.W_sup))
-    if w_scale == 0.0:
-        masses = op.sum(axis=1)
-        if np.max(np.abs(masses - 1.0)) > 1e-8:
-            raise NumericsError(
-                "discrete maximum principle violated: row masses deviate from 1 "
-                f"by {np.max(np.abs(masses - 1.0)):.3g} although W is identically 0"
-            )
+        matrix = op / hdim
+        if k == substeps - 1:
+            worst = float(np.min(matrix))
+            if worst < -1e-6:
+                raise NumericsError(
+                    f"propagator has entries down to {worst:.3g}; substepping too coarse"
+                )
+            deviation = np.max(np.abs(op.sum(axis=1) - 1.0))
+            if c.W_inf == c.W_sup == 0.0 and deviation > 1e-8:
+                raise NumericsError(
+                    "discrete maximum principle violated: row masses deviate from 1 "
+                    f"by {deviation:.3g} although W is identically 0"
+                )
+        yield s + (k + 1) * dt, matrix
+
+
+def build_propagator(
+    c: CoefficientSet, grid: TorusGrid, s: float, t: float, substeps: int, ladder_stride: int | None = None
+) -> Propagator:
+    """Assemble the discrete kernel as a product of implicit substep solves,
+    keeping the kernel of every ladder_stride-th substep (none for 0 or None)
+    as a (time, matrix) checkpoint for validate_gaussian_bounds."""
+    _require_memory(_propagator_bytes(grid, substeps, ladder_stride), "the propagator")
+    ladder = []
+    for k, (t_k, matrix) in enumerate(_substep_kernels(c, grid, s, t, substeps), 1):
+        if ladder_stride and k % ladder_stride == 0:
+            ladder.append((t_k, matrix))
     return Propagator(grid, s, t, matrix, substeps, tuple(ladder))
 
 
@@ -236,9 +239,7 @@ def _row_gradients(matrix: np.ndarray, grid: TorusGrid) -> np.ndarray:
     n = grid.n_cells
     out = np.empty((n, grid.dim, n))
     for axis in range(grid.dim):
-        up = grid.neighbors(+1, axis)
-        dn = grid.neighbors(-1, axis)
-        out[:, axis, :] = (matrix[:, up] - matrix[:, dn]) / (2.0 * grid.h)
+        out[:, axis, :] = _central(matrix, grid, axis)
     return out
 
 
@@ -246,37 +247,9 @@ def _grad_magnitude(grads: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(grads**2, axis=1))
 
 
-def kernel_y_gradient(p: Propagator) -> list:
-    """Discrete gradient of each kernel row viewed as a function of y."""
-    grads = _row_gradients(p.matrix, p.grid)
-    return [
-        VectorField(p.grid, tuple(grads[i, a, :] for a in range(p.grid.dim)))
-        for i in range(p.grid.n_cells)
-    ]
-
-
-def periodized_heat_kernel(x, y, tau: float, a: float = 1.0) -> float:
-    """Heat kernel on the unit torus by image summation over |k|_inf <= 3.
-
-    Valid for tau in (0, 1]; the first omitted image contributes below 1e-12
-    there for diffusivity a <= 1.
-    """
-    if tau <= 0:
-        raise UsageError(f"tau must be positive, got {tau}")
-    if tau > 1:
-        raise UsageError(f"periodized evaluation requires tau <= 1, got {tau}")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    d = x.size
-    offsets = np.arange(-3, 4)
-    if d == 1:
-        shifts = offsets[:, None]
-    else:
-        k1, k2 = np.meshgrid(offsets, offsets, indexing="ij")
-        shifts = np.column_stack([k1.ravel(), k2.ravel()])
-    diff = x[None, :] - y[None, :] - shifts
-    r2 = np.sum(diff * diff, axis=1)
-    return float(np.sum((4.0 * np.pi * a * tau) ** (-d / 2.0) * np.exp(-r2 / (4.0 * a * tau))))
+def _max_row_integral(grads: np.ndarray, grid: TorusGrid) -> float:
+    """max_x h^dim sum_y |grads[x, :, y]| of (N, dim, N) row gradients."""
+    return np.max(grid.h**grid.dim * _grad_magnitude(grads).sum(axis=1))
 
 
 def _distance_matrix(grid: TorusGrid) -> np.ndarray:
@@ -300,6 +273,12 @@ class GaussianFit:
             raise NumericsError("Gaussian fit produced non-positive constants")
 
 
+def _require_unit_horizon(span: float) -> None:
+    """The Gaussian envelope is validated on horizons t - s <= 1 only."""
+    if span > 1.0:
+        raise UsageError(f"Gaussian bounds are validated on unit horizons only, got t-s={span:.3g}")
+
+
 def validate_gaussian_bounds(
     p: Propagator, orders: tuple = (0, 0), rel_floor: float = 0.02
 ) -> GaussianFit:
@@ -317,13 +296,10 @@ def validate_gaussian_bounds(
     smallest count keeping the time-discretization tail lift
     z^2*dt/(32*tau) below 0.05 across the dynamic range rel_floor admits.
     """
+    _require_unit_horizon(p.t - p.s)
     a_ord, b_ord = orders
     if a_ord < 0 or b_ord < 0 or 2 * a_ord + b_ord > 2:
         raise UsageError(f"supported derivative orders have 2a+b <= 2, got {orders}")
-    if p.t - p.s > 1.0:
-        raise UsageError(
-            f"Gaussian bounds are validated on unit horizons only, got t-s={p.t - p.s:.3g}"
-        )
     if not p.ladder:
         raise UsageError("the propagator holds no ladder checkpoints")
     z_max = 4.0 * np.log(1.0 / rel_floor)
@@ -336,8 +312,7 @@ def validate_gaussian_bounds(
     k_exp = (d + 2 * a_ord + b_ord) / 2.0
 
     z_all, u_all = [], []
-    times = [tau for tau, _ in p.ladder]
-    mats = [m for _, m in p.ladder]
+    times, mats = zip(*p.ladder)
     for idx, (t_k, mat) in enumerate(p.ladder):
         tau = t_k - p.s
         if tau < min_tau_substeps * dt - 1e-15:
@@ -424,9 +399,9 @@ def _frozen_pi(c: CoefficientSet) -> CoefficientSet:
     return build_coefficients(replace(c.problem, pi_coeff=c.pi_at(0.0)))
 
 
-def _hoelder_sums(grads: list, grid: TorusGrid) -> np.ndarray:
+def _hoelder_sums(grads, grid: TorusGrid) -> np.ndarray:
     """(N, N) matrix of sum_k h^dim sum_y |g_k[i, :, y] - g_k[j, :, y]| over
-    the ladder's row gradients g_k, added in ladder order.
+    the ladder's row gradients g_k (any iterable), added in ladder order.
 
     Only row blocks of the upper triangle j >= i are formed; (g_i - g_j)^2
     and (g_j - g_i)^2 are equal bit for bit, so its mirror is the full sum.
@@ -458,27 +433,24 @@ def _integral_constants(
     c: CoefficientSet, grid: TorusGrid, times, substeps: int, beta: float
 ) -> tuple[float, float, float]:
     t_max = max(times)
-    p = build_propagator(c, grid, 0.0, t_max, substeps, keep_ladder=True)
     dt = t_max / substeps
-    hdim = grid.h**grid.dim
-
-    # each ladder matrix is dropped as soon as its row gradients exist
-    ladder = [m for _, m in reversed(p.ladder)]
-    del p
-    grads = []
-    while ladder:
-        grads.append(_row_gradients(ladder.pop(), grid))
-
-    def max_integral(g: np.ndarray) -> float:
-        return np.max(hdim * _grad_magnitude(g).sum(axis=1))
-
-    # A(tau): per-x integral of |grad_y K|, maximized over x
-    a_of_tau = np.array([max_integral(g) for g in grads])
-    # B(sigma): same for |d_tau grad_y K| (centered differences on the ladder)
+    # A(tau): max over x of the integral of |grad_y K|; B(sigma): the same for
+    # |d_tau grad_y K| by centred differences, on a window of three gradients
+    a_of_tau = np.empty(substeps)
     b_of_tau = np.full(substeps, np.nan)
-    b_of_tau[1:-1] = [
-        max_integral((grads[k + 1] - grads[k - 1]) / (2.0 * dt)) for k in range(1, substeps - 1)
-    ]
+    window = []
+
+    def ladder_gradients():
+        for k, (_, matrix) in enumerate(_substep_kernels(c, grid, 0.0, t_max, substeps)):
+            window.append(_row_gradients(matrix, grid))
+            a_of_tau[k] = _max_row_integral(window[-1], grid)
+            if len(window) == 3:
+                b_of_tau[k - 1] = _max_row_integral((window[2] - window[0]) / (2.0 * dt), grid)
+                del window[0]
+            yield window[-1]
+
+    # Hoelder difference integral at the final time
+    acc = _hoelder_sums(ladder_gradients(), grid)
     b_of_tau[0] = b_of_tau[1] if substeps > 2 else 0.0
     b_of_tau[-1] = b_of_tau[-2] if substeps > 2 else 0.0
 
@@ -502,9 +474,6 @@ def _integral_constants(
                 lhs = float(np.sum(b_of_tau[idx]) * dt * dt)
                 c2 = max(c2, lhs / np.sqrt(tt - tp))
 
-    # Hoelder difference integral at the final time
-    acc = _hoelder_sums(grads, grid)
-    del grads
     acc *= dt
     dist = _distance_matrix(grid)
     n = grid.n_cells
@@ -536,8 +505,7 @@ def validate_integral_bounds(
     except UsageError:
         spec2 = None  # table-backed: no refinement
     grids = [grid] if spec2 is None else [grid, spec2.make_grid()]
-    _require_memory(max(_integral_bounds_bytes(g, substeps) for g in grids),
-                    "the integral-bound validation")
+    _require_memory(max(_integral_bounds_bytes(g) for g in grids), "the integral-bound validation")
 
     c1, c2, c3 = _integral_constants(cc, grid, times, substeps, beta)
     if spec2 is None:
@@ -562,15 +530,12 @@ def fit_duhamel_constant(c: CoefficientSet, grid: TorusGrid) -> float:
     int_t' ^t int |grad_y K| <= C1 |t - t'|^(1/2), measured on the actual
     discrete kernel over [0, 0.01].  This is the measured surrogate fed to
     the time-bound formula."""
-    cc = _frozen_pi(c)
-    p = build_propagator(cc, grid, 0.0, _DUHAMEL_HORIZON, _DUHAMEL_SUBSTEPS, keep_ladder=True)
+    _require_memory(_duhamel_fit_bytes(grid), "the Duhamel-constant fit")
+    kernels = _substep_kernels(_frozen_pi(c), grid, 0.0, _DUHAMEL_HORIZON, _DUHAMEL_SUBSTEPS)
     dt = _DUHAMEL_HORIZON / _DUHAMEL_SUBSTEPS
-    hdim = grid.h**grid.dim
-    best = 0.0
-    acc = 0.0
-    for k, (_, mat) in enumerate(p.ladder):
-        mg = _grad_magnitude(_row_gradients(mat, grid))
-        acc += np.max(hdim * mg.sum(axis=1)) * dt
+    best = acc = 0.0
+    for k, (_, matrix) in enumerate(kernels):
+        acc += _max_row_integral(_row_gradients(matrix, grid), grid) * dt
         best = max(best, acc / np.sqrt((k + 1) * dt))
     return float(best)
 

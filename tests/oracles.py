@@ -1,12 +1,14 @@
 """Reference forms and generators used only by the tests: a seeded element
-of the admissible set Y, the two discrete forms of the PDE right side, and
-the discrete equation residual of a trajectory."""
+of the admissible set Y, the two discrete forms of the PDE right side, the
+discrete equation residual of a trajectory, the periodized heat kernel, the
+y-gradients of a discrete kernel's rows and the sup norm of a trajectory."""
 
 import numpy as np
 
 from torusfp.coeff import CoefficientSet
-from torusfp.grid import Field, Trajectory, VectorField, divergence, gradient
-from torusfp.kernel import assemble_lfp
+from torusfp.errors import UsageError
+from torusfp.grid import Field, Trajectory, VectorField, divergence, gradient, sup_norm
+from torusfp.kernel import Propagator, _row_gradients, assemble_lfp
 from torusfp.picard import PicardSpace, _lattice, _nonlinear_source
 
 
@@ -74,3 +76,40 @@ def pde_residual(traj: Trajectory, c: CoefficientSet) -> float:
         resid = (vals[m + 1] - vals[m]) / delta - rhs.values
         worst = max(worst, float(np.max(np.abs(resid))))
     return worst
+
+
+def sup_norm_traj(tr: Trajectory) -> float:
+    return max(sup_norm(fr) for fr in tr.frames)
+
+
+def kernel_y_gradient(p: Propagator) -> list:
+    """Discrete gradient of each kernel row viewed as a function of y."""
+    grads = _row_gradients(p.matrix, p.grid)
+    return [
+        VectorField(p.grid, tuple(grads[i, a, :] for a in range(p.grid.dim)))
+        for i in range(p.grid.n_cells)
+    ]
+
+
+def periodized_heat_kernel(x, y, tau: float, a: float = 1.0) -> float:
+    """Heat kernel on the unit torus by image summation over |k|_inf <= 3.
+
+    Valid for tau in (0, 1]; the first omitted image contributes below 1e-12
+    there for diffusivity a <= 1.
+    """
+    if tau <= 0:
+        raise UsageError(f"tau must be positive, got {tau}")
+    if tau > 1:
+        raise UsageError(f"periodized evaluation requires tau <= 1, got {tau}")
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    d = x.size
+    offsets = np.arange(-3, 4)
+    if d == 1:
+        shifts = offsets[:, None]
+    else:
+        k1, k2 = np.meshgrid(offsets, offsets, indexing="ij")
+        shifts = np.column_stack([k1.ravel(), k2.ravel()])
+    diff = x[None, :] - y[None, :] - shifts
+    r2 = np.sum(diff * diff, axis=1)
+    return float(np.sum((4.0 * np.pi * a * tau) ** (-d / 2.0) * np.exp(-r2 / (4.0 * a * tau))))

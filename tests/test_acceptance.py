@@ -220,7 +220,7 @@ def test_criterion_09_global_concatenation(cosine128):
 def test_criterion_10_kernel_suite(cosine128):
     heat_spec = make_spec(n=256)
     hc = build_coefficients(heat_spec)
-    p = build_propagator(hc, hc.grid, 0.0, 2e-3, 600, keep_ladder=True, ladder_stride=20)
+    p = build_propagator(hc, hc.grid, 0.0, 2e-3, 600, ladder_stride=20)
     fit = validate_gaussian_bounds(p, (0, 0))
     gauss_ok = fit.c_fit >= 0.24 and fit.C_fit <= 0.30
 
@@ -240,7 +240,7 @@ def test_criterion_10_kernel_suite(cosine128):
 
     try:
         validate_gaussian_bounds(
-            build_propagator(hc, hc.grid, 0.0, 1.2, 120, keep_ladder=True, ladder_stride=40)
+            build_propagator(hc, hc.grid, 0.0, 1.2, 120, ladder_stride=40)
         )
         reject_ok = False
     except UsageError:

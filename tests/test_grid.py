@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 
+from oracles import sup_norm_traj
+
 from torusfp.grid import (
     Field,
     TorusGrid,
@@ -13,7 +15,6 @@ from torusfp.grid import (
     load_field_csv,
     save_field_csv,
     sup_norm,
-    sup_norm_traj,
 )
 
 

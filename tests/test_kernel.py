@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_spec
+from oracles import kernel_y_gradient, periodized_heat_kernel
 
 import torusfp.kernel as kernel
 from torusfp.coeff import build_coefficients
@@ -15,9 +16,7 @@ from torusfp.kernel import (
     apply_propagator,
     build_propagator,
     fit_duhamel_constant,
-    kernel_y_gradient,
     matrix_exponential_propagator,
-    periodized_heat_kernel,
     validate_gaussian_bounds,
     validate_integral_bounds,
     validate_mass_sandwich,
@@ -145,7 +144,7 @@ def test_periodized_heat_kernel_2d():
 def test_gaussian_fit_heat_case():
     spec = make_spec(n=256)
     c = build_coefficients(spec)
-    p = build_propagator(c, c.grid, 0.0, 2e-3, 600, keep_ladder=True, ladder_stride=20)
+    p = build_propagator(c, c.grid, 0.0, 2e-3, 600, ladder_stride=20)
     fit = validate_gaussian_bounds(p, (0, 0))
     # analytic envelope: c = 1/4, C = (4 pi)^(-1/2) = 0.2821
     assert fit.c_fit >= 0.24
@@ -156,7 +155,7 @@ def test_gaussian_fit_heat_case():
 def test_gaussian_fit_variable_coefficients_finite():
     spec = make_spec(n=64, d="2+cos(2*pi*x1)")  # D in [1, 3]
     c = build_coefficients(spec)
-    p = build_propagator(c, c.grid, 0.0, 2e-3, 300, keep_ladder=True, ladder_stride=10)
+    p = build_propagator(c, c.grid, 0.0, 2e-3, 300, ladder_stride=10)
     for orders in ((0, 0), (0, 1), (1, 0), (0, 2)):
         fit = validate_gaussian_bounds(p, orders)
         assert np.isfinite(fit.C_fit) and fit.C_fit > 0
@@ -165,7 +164,7 @@ def test_gaussian_fit_variable_coefficients_finite():
 
 def test_gaussian_fit_rejects_long_horizons(heat64):
     _, c = heat64
-    p = build_propagator(c, c.grid, 0.0, 1.5, 150, keep_ladder=True, ladder_stride=50)
+    p = build_propagator(c, c.grid, 0.0, 1.5, 150, ladder_stride=50)
     with pytest.raises(UsageError):
         validate_gaussian_bounds(p, (0, 0))
     with pytest.raises(UsageError):
@@ -174,7 +173,7 @@ def test_gaussian_fit_rejects_long_horizons(heat64):
 
 def test_gaussian_fit_rejects_high_orders(heat64):
     _, c = heat64
-    p = build_propagator(c, c.grid, 0.0, 0.01, 16, keep_ladder=True)
+    p = build_propagator(c, c.grid, 0.0, 0.01, 16, ladder_stride=1)
     with pytest.raises(UsageError):
         validate_gaussian_bounds(p, (1, 1))
 
@@ -318,21 +317,27 @@ def test_frozen_mobility_is_the_t0_sample():
         assert np.array_equal(got, want)
 
 
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_memory_estimates_cover_the_dense_temporaries():
-    # the integral-bound estimate is an upper bound on the traced peak, and a tight one
+    # each estimate is an upper bound on the traced peak, and a tight one
     for dim, n in [(1, 64), (2, 8)]:
         c = build_coefficients(make_spec(n=n, dim=dim))
-        tracemalloc.start()
-        try:
-            kernel._integral_constants(c, c.grid, [0.0, 0.005, 0.01], 64, 0.5)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= kernel._integral_bounds_bytes(c.grid, 64) <= 3 * peak
+        peak = _traced_peak(lambda: kernel._integral_constants(c, c.grid, [0.0, 0.005, 0.01], 64, 0.5))
+        assert peak <= kernel._integral_bounds_bytes(c.grid) <= 3 * peak
+        peak = _traced_peak(lambda: fit_duhamel_constant(c, c.grid))
+        assert peak <= kernel._duhamel_fit_bytes(c.grid) <= 3 * peak
     # kernel-validate on a 2-D n=8 grid refines to n=16 (N = 256 cells)
-    assert kernel._integral_bounds_bytes(TorusGrid(2, 16), 64) < 2**30
-    assert kernel._propagator_bytes(TorusGrid(1, 64), 600, True, 20) == 8 * 64**2 * (30 + 3)
-    assert kernel._propagator_bytes(TorusGrid(1, 64), 600, False, 20) == 8 * 64**2 * 3
+    assert kernel._integral_bounds_bytes(TorusGrid(2, 16)) < 2**30
+    assert kernel._propagator_bytes(TorusGrid(1, 64), 600, 20) == 8 * 64**2 * (30 + 3)
+    assert kernel._propagator_bytes(TorusGrid(1, 64), 600, None) == 8 * 64**2 * 3
 
 
 def test_requests_beyond_physical_memory_are_refused(heat64, monkeypatch):
@@ -340,11 +345,20 @@ def test_requests_beyond_physical_memory_are_refused(heat64, monkeypatch):
     monkeypatch.setattr(kernel, "_physical_memory", lambda: 2**16)
     with pytest.raises(UsageError, match="the propagator needs about"):
         build_propagator(c, c.grid, 0.0, 0.01, 10)
+    # the Duhamel fit holds no propagator, and checks its own estimate before any substep
+    with monkeypatch.context() as mp:
+        mp.setattr(kernel.ImplicitStepper, "advance", lambda *args: pytest.fail("advanced first"))
+        with pytest.raises(UsageError, match="the Duhamel-constant fit needs about"):
+            fit_duhamel_constant(c, c.grid)
     # the n=128 refinement's estimate is checked before the n=64 grid is built
-    monkeypatch.setattr(kernel, "_physical_memory", lambda: kernel._integral_bounds_bytes(c.grid, 8))
+    monkeypatch.setattr(kernel, "_physical_memory", lambda: kernel._integral_bounds_bytes(c.grid))
     monkeypatch.setattr(kernel, "_integral_constants", lambda *args: pytest.fail("built first"))
     with pytest.raises(UsageError, match="integral-bound validation needs about"):
         validate_integral_bounds(c, c.grid, [0.005, 0.01], substeps=8)
+
+
+def _magnitude(g):
+    return np.sqrt(np.sum(g**2, axis=1))
 
 
 def _broadcast_hoelder_sums(grads, grid):
@@ -353,14 +367,30 @@ def _broadcast_hoelder_sums(grads, grid):
     acc = np.zeros((n, n))
     for g in grads:
         diff = g[:, None, :, :] - g[None, :, :, :]
-        mags = kernel._grad_magnitude(diff.reshape(n * n, grid.dim, n))
+        mags = _magnitude(diff.reshape(n * n, grid.dim, n))
         acc += hdim * mags.sum(axis=1).reshape(n, n)
     return acc
 
 
 def _ladder_gradients(c, t_max, substeps):
-    p = build_propagator(c, c.grid, 0.0, t_max, substeps, keep_ladder=True)
-    return [kernel._row_gradients(m, c.grid) for _, m in p.ladder]
+    """Row gradients of every substep kernel: the whole ladder is stored
+    first, then differenced column by column."""
+    grid = c.grid
+    stepper = kernel.ImplicitStepper(c, grid)
+    dt = t_max / substeps
+    op = np.eye(grid.n_cells)
+    ladder = []
+    for k in range(substeps):
+        op = stepper.advance(op, (k + 0.5) * dt, dt)
+        ladder.append(op / grid.h**grid.dim)
+    grads = []
+    for matrix in ladder:
+        g = np.empty((grid.n_cells, grid.dim, grid.n_cells))
+        for axis in range(grid.dim):
+            up, dn = grid.neighbors(+1, axis), grid.neighbors(-1, axis)
+            g[:, axis, :] = (matrix[:, up] - matrix[:, dn]) / (2.0 * grid.h)
+        grads.append(g)
+    return grads
 
 
 def _hoelder_constant(acc, grid, t_max, substeps, beta):
@@ -415,3 +445,93 @@ def test_blocked_hoelder_sums_on_generated_coefficients(n, d1, p1, b, k, rows):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernel, "_C3_BLOCK_BYTES", rows * 8 * n**2)
         assert np.array_equal(kernel._hoelder_sums(grads, c.grid), want)
+
+
+def _max_integral(g, grid):
+    return np.max(grid.h**grid.dim * _magnitude(g).sum(axis=1))
+
+
+def _reference_constants(c, times, substeps, beta):
+    """C1, C2 and C3 from the whole stored ladder."""
+    grid, t_max = c.grid, max(times)
+    dt = t_max / substeps
+    grads = _ladder_gradients(c, t_max, substeps)
+    a_of_tau = np.array([_max_integral(g, grid) for g in grads])
+    b_of_tau = np.full(substeps, np.nan)
+    b_of_tau[1:-1] = [
+        _max_integral((grads[k + 1] - grads[k - 1]) / (2.0 * dt), grid) for k in range(1, substeps - 1)
+    ]
+    b_of_tau[0] = b_of_tau[1] if substeps > 2 else 0.0
+    b_of_tau[-1] = b_of_tau[-2] if substeps > 2 else 0.0
+    c1 = c2 = 0.0
+    for tp in times:
+        for tt in times:
+            if tt <= tp + 1e-15:
+                continue
+            ks = np.flatnonzero((np.arange(1, substeps + 1) * dt) <= tt - tp + 1e-15)
+            c1 = max(c1, float(np.sum(a_of_tau[ks]) * dt) / np.sqrt(tt - tp))
+            si = np.arange(0.5 * dt, tp, dt)
+            tj = np.arange(tp + 0.5 * dt, tt, dt)
+            if si.size and tj.size:
+                idx = np.clip(np.round((tj[None, :] - si[:, None]) / dt).astype(int) - 1, 0, substeps - 1)
+                c2 = max(c2, float(np.sum(b_of_tau[idx]) * dt * dt) / np.sqrt(tt - tp))
+    c3 = _hoelder_constant(_broadcast_hoelder_sums(grads, grid), grid, t_max, substeps, beta)
+    return c1, c2, c3
+
+
+def _reference_duhamel_constant(c):
+    """C_gauss from the whole stored ladder over the fit's horizon."""
+    dt = kernel._DUHAMEL_HORIZON / kernel._DUHAMEL_SUBSTEPS
+    best = acc = 0.0
+    for k, g in enumerate(_ladder_gradients(c, kernel._DUHAMEL_HORIZON, kernel._DUHAMEL_SUBSTEPS)):
+        acc += _max_integral(g, c.grid) * dt
+        best = max(best, acc / np.sqrt((k + 1) * dt))
+    return best
+
+
+def test_streamed_constants_equal_the_stored_ladder_on_heat(heat64):
+    _, c = heat64
+    times = [0.0, 0.005, 0.01, 0.02]
+    assert kernel._integral_constants(c, c.grid, times, 64, 0.5) == _reference_constants(c, times, 64, 0.5)
+    assert fit_duhamel_constant(c, c.grid) == _reference_duhamel_constant(c)
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(
+    shape=st.sampled_from([(1, 8), (1, 11), (2, 8)]),
+    d1=st.floats(0.0, 0.9),
+    p1=st.floats(0.0, 0.5),
+    b=st.floats(0.0, 0.3),
+    k=st.sampled_from([1, 2]),
+    substeps=st.integers(1, 8),
+)
+def test_streamed_constants_equal_the_stored_ladder_on_generated_coefficients(shape, d1, p1, b, k, substeps):
+    dim, n = shape
+    axes = "*cos(2*pi*x2)" if dim == 2 else ""
+    spec = make_spec(
+        n=n,
+        dim=dim,
+        d=f"1 + {d1!r}*cos(2*pi*x1){axes}",
+        pi=f"1 + {p1!r}*sin(2*pi*{k}*x1)",
+        phi=f"{b!r}*cos(2*pi*{k}*x1){axes}",
+    )
+    c = build_coefficients(spec)
+    times = [0.0, 0.005, 0.01]
+    got = kernel._integral_constants(c, c.grid, times, substeps, 0.5)
+    assert got == _reference_constants(c, times, substeps, 0.5)
+    assert fit_duhamel_constant(c, c.grid) == _reference_duhamel_constant(c)
+
+
+def test_streamed_consumers_hold_no_ladder(monkeypatch):
+    # the traced peaks of the integral bounds and the Duhamel fit do not grow
+    # with the substep count; with a stored ladder they grew 2.4x and 3.2x here
+    c = build_coefficients(make_spec(n=128))
+    peaks = []
+    for substeps in (16, 64):
+        monkeypatch.setattr(kernel, "_DUHAMEL_SUBSTEPS", substeps)
+        peaks.append((
+            _traced_peak(lambda: kernel._integral_constants(c, c.grid, [0.0, 0.005, 0.01], substeps, 0.5)),
+            _traced_peak(lambda: fit_duhamel_constant(c, c.grid)),
+        ))
+    for few, many in zip(*peaks):
+        assert many <= 1.1 * few

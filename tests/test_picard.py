@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import make_spec, sample_f0
 from oracles import (
     frame_source,
+    kernel_y_gradient,
     pde_residual,
     random_y_trajectory,
     rhs_divergence_form,
@@ -481,7 +482,7 @@ def test_source_block_matches_the_per_frame_roll_formula(grid, a, p1, p2, nt, se
 def test_duhamel_term_forms_agree_by_adjointness(cosine_d64):
     # propagator applied to div(V w) equals -sum of grad_y K . (V w): the
     # two forms of the nonlinear Duhamel term coincide exactly on the grid
-    from torusfp.kernel import apply_propagator, build_propagator, kernel_y_gradient
+    from torusfp.kernel import apply_propagator, build_propagator
 
     spec, c = cosine_d64
     g = c.grid
