@@ -15,7 +15,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import astuple
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,7 @@ from .coeff import build_coefficients, sample_initial_data, validate_assumptions
 from .config import RunConfig, load_config
 from .equilibrium import apriori_bounds, equilibrium_state, free_energy
 from .errors import AssumptionError, NumericsError, TorusFPError, UsageError
-from .fvsolver import simulate
+from .fvsolver import DiagnosticsRow, simulate
 from .grid import Field, integrate, save_field_csv, sup_norm
 from .kernel import (
     _require_unit_horizon,
@@ -97,23 +97,10 @@ class _Out:
 
 def cmd_simulate(run: RunConfig, out: _Out) -> int:
     res = simulate(run.problem, run.fv)
-    rows = [
-        (
-            r.t,
-            r.mass,
-            r.free_energy,
-            r.dissipation_rate,
-            r.dF_dt_numeric,
-            r.min_f,
-            r.max_f,
-            r.linf_to_feq,
-        )
-        for r in res.rows
-    ]
     out.csv(
         "diagnostics.csv",
-        "t,mass,free_energy,dissipation_rate,dF_dt_numeric,min_f,max_f,linf_to_feq",
-        rows,
+        ",".join(f.name for f in fields(DiagnosticsRow)),
+        [astuple(r) for r in res.rows],
     )
     if run.snapshot_stride > 0:
         for i, (t, frame) in enumerate(zip(res.trajectory.times, res.trajectory.frames)):
@@ -121,7 +108,7 @@ def cmd_simulate(run: RunConfig, out: _Out) -> int:
                 out.field(f"snapshot_{i:06d}.csv", frame)
     out.field("final_state.csv", res.trajectory.frames[-1])
     out.manifest({"steps": res.n_steps, "dt": res.dt, "warnings": res.warnings})
-    out.say(f"simulate: {res.n_steps} steps, dt={res.dt:.6g}, diagnostics rows={len(rows)}")
+    out.say(f"simulate: {res.n_steps} steps, dt={res.dt:.6g}, diagnostics rows={len(res.rows)}")
     for w in res.warnings:
         print(f"warning: {w}", file=sys.stderr)
     return _EXIT_OK
@@ -177,17 +164,10 @@ def cmd_picard(run: RunConfig, out: _Out) -> int:
     f0 = sample_initial_data(run.problem)
     validate_assumptions(c, f0, run.problem).require()
     space = picard_space(f0, c, safety=run.picard.safety)
-    log: list = []
     traj, report = fixed_point_solve(
-        f0,
-        c,
-        space,
-        tol=run.picard.tol,
-        max_iter=run.picard.max_iter,
-        nt=run.picard.nt,
-        iteration_log=log,
+        f0, c, space, tol=run.picard.tol, max_iter=run.picard.max_iter, nt=run.picard.nt
     )
-    out.csv("picard_iterations.csv", "iteration,residual,ratio,min_f,max_f", log)
+    out.csv("picard_iterations.csv", "iteration,residual,ratio,min_f,max_f", report.history)
     for i, frame in enumerate(traj.frames):
         if i % run.picard.snapshot_stride == 0 or i == len(traj.frames) - 1:
             out.field(f"picard_frame_{i:04d}.csv", frame)

@@ -137,6 +137,12 @@ class CoefficientSet:
         """Sup norm of V over the grid and the certified times."""
         return self.V_sup
 
+    def require_grid(self, *items) -> None:
+        """Raise UsageError unless every item (a Field, Trajectory or
+        Propagator) lives on the grid of these coefficients."""
+        if any(item.grid != self.grid for item in items):
+            raise UsageError("inputs and coefficients must share one grid")
+
 
 # interior time samples of a time-dependent mobility
 _TIME_SAMPLES = 64
@@ -297,8 +303,7 @@ def validate_assumptions(c: CoefficientSet, f0: Field, spec: ProblemSpec) -> Ass
     samples; it is checked at the level of boundedness only, with the declared
     exponent recorded as a user assertion.
     """
-    if f0.grid != c.grid:
-        raise UsageError("f0 and coefficients live on different grids")
+    c.require_grid(f0)
     mu = resolved_mu(spec, f0)
     lam = resolved_lambda(spec, f0)
     checks = []

@@ -115,6 +115,7 @@ def equilibrium_state(c: CoefficientSet, mass: float) -> EquilibriumState:
 
 def free_energy(f: Field, c: CoefficientSet) -> float:
     """F[f] = integral of D f (log f - 1) + phi f."""
+    c.require_grid(f)
     _require_positive(f, "free_energy input")
     vals = c.D.values * f.values * (np.log(f.values) - 1.0) + c.phi.values * f.values
     return integrate(Field(f.grid, vals))
@@ -125,6 +126,7 @@ def dissipation_rate(f: Field, c: CoefficientSet, time: float = 0.0) -> float:
 
     This is the nonnegative rate at which F decreases along solutions.
     """
+    c.require_grid(f)
     _require_positive(f, "dissipation_rate input")
     mu_chem = Field(f.grid, c.D.values * np.log(f.values) + c.phi.values)
     g = gradient(mu_chem)
@@ -141,6 +143,7 @@ def apriori_bounds(f0: Field, eq: EquilibriumState, c: CoefficientSet) -> Aprior
     lower_env(x) = exp( min_y D(y) log(f0/f_eq)(y) / D(x) ) * f_eq(x) and the
     max analog above; m and M are the grid extrema of the envelopes.
     """
+    c.require_grid(f0, eq.f_eq)
     _require_positive(f0, "apriori_bounds initial data")
     log_ratio = c.D.values * np.log(f0.values / eq.f_eq.values)
     lo = float(np.min(log_ratio))

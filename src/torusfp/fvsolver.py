@@ -21,7 +21,8 @@ import scipy.sparse.linalg as spla
 from .coeff import CoefficientSet, ProblemSpec, build_coefficients, sample_initial_data, validate_assumptions
 from .equilibrium import apriori_bounds, dissipation_rate, equilibrium_state, free_energy
 from .errors import NumericsError, UsageError, check_ranges
-from .grid import Field, Trajectory, TorusGrid, gradient
+from .grid import Field, Trajectory, TorusGrid, gradient, integrate
+from .kernel import _frames_bytes, _require_memory
 
 __all__ = [
     "FVConfig",
@@ -65,6 +66,7 @@ class FVConfig:
 
 def chemical_potential(f: Field, c: CoefficientSet) -> Field:
     """mu = D log f + phi, the variational derivative of the free energy."""
+    c.require_grid(f)
     if np.min(f.values) <= 0:
         k = int(np.argmin(f.values))
         raise NumericsError(
@@ -230,6 +232,7 @@ def _step(
 
 def fv_step(f: Field, c: CoefficientSet, t: float, dt: float, cfg: FVConfig) -> Field:
     """Advance one step of size dt starting at time t."""
+    c.require_grid(f)
     if dt <= 0:
         raise UsageError("dt must be positive")
     if np.min(f.values) <= 0:
@@ -240,6 +243,7 @@ def fv_step(f: Field, c: CoefficientSet, t: float, dt: float, cfg: FVConfig) -> 
 def stable_dt(f: Field, c: CoefficientSet, t: float, cfg: FVConfig) -> float:
     """Step-size policy: diffusive stability limit for the explicit mode,
     accuracy-limited dt = safety * h for the implicit mode."""
+    c.require_grid(f)
     grid = f.grid
     if cfg.stepper == "implicit":
         return cfg.dt_safety * grid.h
@@ -275,42 +279,35 @@ class SimulationResult:
 
 
 def simulate(spec: ProblemSpec, cfg: FVConfig) -> SimulationResult:
-    """March the finite-volume scheme to T_final with diagnostics.
+    """March the finite-volume scheme to T_final, record f0, every
+    ``diag_every``-th state and the last, and then build one DiagnosticsRow
+    per recorded frame.
 
     Raises AssumptionError when the standing assumptions fail on the sampled
-    data.  A priori envelope violations beyond 1e-6 + h^2 are reported as
-    warnings with their location, not errors.
+    data, and UsageError before the march when the recorded frames would not
+    fit in physical memory.  A priori envelope violations beyond 1e-6 + h^2
+    are reported as warnings with their location, not errors.
     """
     c = build_coefficients(spec)
     grid = c.grid
     f0 = sample_initial_data(spec)
     validate_assumptions(c, f0, spec).require()
 
-    eq = equilibrium_state(c, float(grid.h**grid.dim * np.sum(f0.values)))
+    eq = equilibrium_state(c, integrate(f0))
     bounds = apriori_bounds(f0, eq, c)
     env_slack = 1e-6 + grid.h**2
 
     dt = min(stable_dt(f0, c, 0.0, cfg), spec.T_final)
     n_steps = max(1, int(math.ceil(spec.T_final / dt - 1e-9)))
+    # the recorded frames and rows; coefficients and step work take < 64 frames more
+    _require_memory(
+        _frames_bytes(grid, 2 + (n_steps - 1) // cfg.diag_every + 64),
+        "the recorded frames of simulate", "a smaller n or t_final, or a larger diag_every",
+    )
 
-    rows_t, rows_f, rows_d, rows_min, rows_max, rows_dist = [], [], [], [], [], []
-    times, frames = [], []
     warnings: list[str] = []
-
-    def record(t: float, vals: np.ndarray):
-        fld = Field(grid, vals)
-        rows_t.append(t)
-        rows_f.append(free_energy(fld, c))
-        rows_d.append(dissipation_rate(fld, c, t))
-        rows_min.append(float(np.min(vals)))
-        rows_max.append(float(np.max(vals)))
-        rows_dist.append(float(np.max(np.abs(vals - eq.f_eq.values))))
-        times.append(t)
-        frames.append(fld)
-
-    vals = f0.values.copy()
-    mass0 = float(grid.h**grid.dim * np.sum(vals))
-    record(0.0, vals)
+    recorded = [(0.0, f0)]
+    vals = f0.values
     t = 0.0
     for k in range(n_steps):
         step = min(dt, spec.T_final - t)
@@ -327,24 +324,22 @@ def simulate(spec: ProblemSpec, cfg: FVConfig) -> SimulationResult:
             warnings.append(msg)
             log.warning(msg)
         if (k + 1) % cfg.diag_every == 0 or k == n_steps - 1:
-            record(t, vals)
+            recorded.append((t, Field(grid, vals)))
 
-    masses = [mass0] + [grid.h**grid.dim * float(np.sum(fr.values)) for fr in frames[1:]]
-    tr = np.asarray(rows_t)
-    fe = np.asarray(rows_f)
-    dfdt = np.gradient(fe, tr) if len(tr) > 1 else np.zeros(1)
+    times, frames = zip(*recorded)
+    energies = [free_energy(fr, c) for fr in frames]
     rows = [
         DiagnosticsRow(
-            t=tr[i],
-            mass=masses[i],
-            free_energy=fe[i],
-            dissipation_rate=rows_d[i],
-            dF_dt_numeric=float(dfdt[i]),
-            min_f=rows_min[i],
-            max_f=rows_max[i],
-            linf_to_feq=rows_dist[i],
+            t=t,
+            mass=integrate(fr),
+            free_energy=fe,
+            dissipation_rate=dissipation_rate(fr, c, t),
+            dF_dt_numeric=float(slope),
+            min_f=float(np.min(fr.values)),
+            max_f=float(np.max(fr.values)),
+            linf_to_feq=float(np.max(np.abs(fr.values - eq.f_eq.values))),
         )
-        for i in range(len(tr))
+        for (t, fr), fe, slope in zip(recorded, energies, np.gradient(energies, times))
     ]
-    traj = Trajectory(grid, np.asarray(times), frames)
+    traj = Trajectory(grid, times, list(frames))
     return SimulationResult(traj, rows, dt, n_steps, eq, bounds, warnings)

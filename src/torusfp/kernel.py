@@ -109,14 +109,20 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _require_memory(nbytes: int, what: str) -> None:
-    """Refuse, before any allocation, a dense request larger than physical memory."""
+def _require_memory(nbytes: int, what: str, remedy: str = "a smaller n or fewer substeps") -> None:
+    """Refuse, before any allocation, a request larger than physical memory."""
     total = _physical_memory()
     if nbytes > total:
         raise UsageError(
             f"{what} needs about {nbytes / 2**30:.3g} GiB, more than the "
-            f"{total / 2**30:.3g} GiB of physical memory; use a smaller n or fewer substeps"
+            f"{total / 2**30:.3g} GiB of physical memory; use {remedy}"
         )
+
+
+def _frames_bytes(grid: TorusGrid, count: int) -> int:
+    """Bytes that ``count`` kept Fields hold: their float64 values and about
+    1 KiB of Python objects each (the Field, and what is kept beside it)."""
+    return count * (8 * grid.n_cells + 1024)
 
 
 def _propagator_bytes(grid: TorusGrid, substeps: int, ladder_stride: int | None) -> int:
@@ -363,6 +369,7 @@ class MassSandwichReport:
 def validate_mass_sandwich(p: Propagator, c: CoefficientSet, tol: float = 1e-6) -> MassSandwichReport:
     """Check exp(W_inf (t-s)) <= row mass <= exp(W_sup (t-s)) within
     tol plus an O(h^2) slack (reported)."""
+    c.require_grid(p)
     span = p.t - p.s
     lower = float(np.exp(c.W_inf * span))
     upper = float(np.exp(c.W_sup * span))

@@ -22,8 +22,8 @@ from .coeff import CoefficientSet, resolved_lambda, resolved_mu
 from .equilibrium import apriori_bounds, equilibrium_state
 from .errors import AssumptionError, NumericsError, UsageError
 # ``divergence`` is unused here but kept: perfbench/tracing.py patches picard.divergence
-from .grid import Field, Trajectory, divergence, divergence_values, integrate, sup_norm
-from .kernel import ImplicitStepper, fit_duhamel_constant
+from .grid import Field, TorusGrid, Trajectory, divergence, divergence_values, integrate, sup_norm
+from .kernel import ImplicitStepper, _frames_bytes, _require_memory, fit_duhamel_constant
 
 __all__ = [
     "PicardSpace",
@@ -159,6 +159,13 @@ def _lattice(t0: float, length: float, nt: int) -> np.ndarray:
     return t0 + (length / nt) * np.arange(nt + 1)
 
 
+def _lattice_bytes(grid: TorusGrid, nt: int) -> int:
+    """Peak bytes of the Picard iteration on nt intervals: 9 + 2 dim blocks
+    of (nt + 1) x N float64 values, for the iterate, its image, the sources
+    with V's dim components, their temporaries and the previous window."""
+    return 8 * (nt + 1) * grid.n_cells * (9 + 2 * grid.dim)
+
+
 def _nonlinear_source(c: CoefficientSet, favg: np.ndarray, mids: np.ndarray) -> np.ndarray:
     """The sources div(V f log f) of the ``(nt, N)`` block of midpoint
     averages ``favg``, row m with V at ``mids[m]``, in one pass."""
@@ -218,8 +225,7 @@ def psi_map(
     space: PicardSpace,
 ) -> Trajectory:
     """One application of the Duhamel map to a trajectory in Y."""
-    if f.grid != c.grid or f0.grid != c.grid:
-        raise UsageError("trajectory, initial data and coefficients must share one grid")
+    c.require_grid(f, f0)
     vals = f.values_matrix()
     _require_in_y(vals, space, 1e-10, "psi_map input")
     t0, length, nt = _uniform_lattice_params(f.times)
@@ -230,10 +236,18 @@ def psi_map(
 
 @dataclass(frozen=True)
 class FixedPointReport:
+    """The Banach iteration of one window.  ``history`` holds one row
+    (iteration, residual, ratio, min_f, max_f) per iterate: the sup-norm
+    difference to the previous iterate, its ratio to the previous one (nan
+    on the first row and after a zero difference), and the iterate's
+    extrema.  When V vanishes the map ignores the iterate: one row is made,
+    and the other fields also count the implied zero difference."""
+
     iterations: int
     final_residual: float
     empirical_contraction: float
     in_Y_every_iterate: bool
+    history: tuple
 
 
 def _fixed_point_values(
@@ -247,7 +261,6 @@ def _fixed_point_values(
     tol: float,
     max_iter: int,
     initial_slack: float = 1e-12,
-    iteration_log: list | None = None,
 ) -> tuple[np.ndarray, FixedPointReport]:
     if float(np.min(f0_vals)) < 4.0 * space.mu - initial_slack:
         raise AssumptionError(
@@ -256,55 +269,41 @@ def _fixed_point_values(
         )
     v_zero = space.V_norm == 0.0
     u = np.tile(f0_vals, (nt + 1, 1))
-    diffs: list[float] = []
-    in_y = True
-    rising = 0
-    iterations = 0
-    for _ in range(max_iter):
+    history: list[tuple] = []
+    for iteration in range(1, max_iter + 1):
         unew = _psi_values(u, f0_vals, c, stepper, t0, length, nt, v_zero)
-        iterations += 1
         d = float(np.max(np.abs(unew - u)))
-        diffs.append(d)
-        vmin, vsup = float(np.min(unew)), float(np.max(np.abs(unew)))
-        if iteration_log is not None:
-            ratio = diffs[-1] / diffs[-2] if len(diffs) >= 2 and diffs[-2] > 0 else float("nan")
-            iteration_log.append(
-                (iterations, d, ratio, float(np.min(unew)), float(np.max(unew)))
-            )
-        if vmin < space.mu - 1e-10 or vsup > space.R + 1e-10:
-            in_y = False
+        prev = history[-1][1] if history else 0.0
+        vmin, vmax = float(np.min(unew)), float(np.max(unew))
+        history.append((iteration, d, d / prev if prev > 0 else math.nan, vmin, vmax))
+        vsup = max(vmax, -vmin)
         if vmin < space.mu - 1e-6 or vsup > space.R + 1e-6:
             raise NumericsError(
-                f"Picard iterate exits Y at iteration {iterations}: "
+                f"Picard iterate exits Y at iteration {iteration}: "
                 f"min={vmin:.6g} (mu={space.mu:.6g}), sup={vsup:.6g} (R={space.R:.6g})"
             )
-        if len(diffs) >= 2 and diffs[-2] > 0 and diffs[-1] / diffs[-2] > 1.0:
-            rising += 1
-            if rising >= 3:
-                raise NumericsError(
-                    "Picard iteration not contracting for 3 consecutive steps; "
-                    "T is too large for the discrete setting"
-                )
-        else:
-            rising = 0
+        if len(history) >= 3 and all(ratio > 1.0 for _, _, ratio, _, _ in history[-3:]):
+            raise NumericsError(
+                "Picard iteration not contracting for 3 consecutive steps; "
+                "T is too large for the discrete setting"
+            )
         u = unew
-        if d <= tol:
-            break
-        if v_zero:
-            # the map does not depend on the iterate, so the next difference
-            # is exactly zero; record the implied extra iteration
-            iterations += 1
-            diffs.append(0.0)
+        if d <= tol or v_zero:
             break
     else:
         raise NumericsError(f"Picard iteration did not converge in {max_iter} iterations")
 
-    ratios = [b / a for a, b in zip(diffs, diffs[1:]) if a > 0]
+    # when V = 0 and d > tol, the next difference is exactly zero
+    implied = d > tol
+    ratios = [ratio for _, _, ratio, _, _ in history if not math.isnan(ratio)]
     report = FixedPointReport(
-        iterations=iterations,
-        final_residual=diffs[-1],
-        empirical_contraction=max(ratios) if ratios else 0.0,
-        in_Y_every_iterate=in_y,
+        iterations=len(history) + implied,
+        final_residual=0.0 if implied else d,
+        empirical_contraction=max(ratios, default=0.0),
+        in_Y_every_iterate=not any(
+            lo < space.mu - 1e-10 or max(hi, -lo) > space.R + 1e-10 for *_, lo, hi in history
+        ),
+        history=tuple(history),
     )
     return u, report
 
@@ -317,18 +316,18 @@ def fixed_point_solve(
     max_iter: int = 40,
     nt: int = 64,
     t0: float = 0.0,
-    iteration_log: list | None = None,
 ) -> tuple[Trajectory, FixedPointReport]:
     """Banach iteration of the Duhamel map from the constant-in-time
     extension of f0, on a lattice of nt midpoint intervals over
-    [t0, t0 + space.T].
+    [t0, t0 + space.T].  The report's ``history`` holds one row per iterate.
+
+    Raises UsageError, before any allocation, when the iteration's
+    ``(nt + 1, N)`` blocks would not fit in physical memory.
     """
-    if f0.grid != c.grid:
-        raise UsageError("f0 and coefficients must share one grid")
+    c.require_grid(f0)
+    _require_memory(_lattice_bytes(c.grid, nt), "the Picard iteration", "a smaller n or nt")
     stepper = ImplicitStepper(c, c.grid)
-    vals, report = _fixed_point_values(
-        f0.values, c, space, stepper, t0, space.T, nt, tol, max_iter, iteration_log=iteration_log
-    )
+    vals, report = _fixed_point_values(f0.values, c, space, stepper, t0, space.T, nt, tol, max_iter)
     traj = Trajectory(c.grid, _lattice(t0, space.T, nt), [Field(c.grid, row) for row in vals])
     return traj, report
 
@@ -414,8 +413,6 @@ def global_solve(
     strongly nonlinear problems; num_windows_override takes responsibility
     for longer windows).
     """
-    if f0.grid != c.grid:
-        raise UsageError("f0 and coefficients must share one grid")
     if T_final <= 0:
         raise UsageError("T_final must be positive")
     from .coeff import validate_assumptions
@@ -440,14 +437,18 @@ def global_solve(
         window=space.T,
     )
 
+    _require_memory(
+        _lattice_bytes(c.grid, nt_per_window) + _frames_bytes(c.grid, nw + 1),
+        "the global march", "a smaller n or nt_per_window, or fewer windows",
+    )
     stepper = ImplicitStepper(c, c.grid)
-    cur = f0.values
     seam_times = [0.0]
-    seams = [cur]
+    seams = [f0]
     reports = []
     for k in range(nw):
         start = k * space.T
         length = space.T if k < nw - 1 else T_final - start
+        cur = seams[-1].values
         try:
             vals, rep = _fixed_point_values(
                 cur,
@@ -465,8 +466,7 @@ def global_solve(
             raise NumericsError(f"window {k} of {nw} failed: {err}") from err
         if not np.array_equal(vals[0], cur):
             raise NumericsError(f"window {k}: seam frame is not bit-identical")
-        lo = float(np.min(vals))
-        hi = float(np.max(vals))
+        *_, lo, hi = rep.history[-1]
         if lo < bnd.m - envelope_tol or hi > bnd.M + envelope_tol:
             raise NumericsError(
                 f"window {k}: a priori envelope violated "
@@ -476,10 +476,9 @@ def global_solve(
         reports.append(
             WindowReport(k, rep.iterations, rep.empirical_contraction, lo - bnd.m, bnd.M - hi)
         )
-        cur = vals[-1]
         seam_times.append(start + length)
-        seams.append(cur)
+        seams.append(Field(c.grid, vals[-1]))
 
-    traj = Trajectory(c.grid, np.asarray(seam_times), [Field(c.grid, v) for v in seams])
+    traj = Trajectory(c.grid, np.asarray(seam_times), seams)
     return traj, replace(plan, window_reports=tuple(reports))
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -78,3 +80,13 @@ def kernel_lu_factors(monkeypatch):
 
 def sample_f0(spec):
     return sample_initial_data(spec)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes tracemalloc sees while fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

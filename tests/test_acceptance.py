@@ -146,9 +146,8 @@ def test_criterion_06_contraction(cosine_d64):
         f = random_y_trajectory(space, c.grid, rng, nt=32)
         g = random_y_trajectory(space, c.grid, rng, nt=32)
         worst = max(worst, contraction_ratio(f, g, f0, c, space))
-    log: list = []
-    fixed_point_solve(f0, c, space, tol=1e-12, max_iter=60, iteration_log=log)
-    rates = [row[2] for row in log if np.isfinite(row[2])]
+    _, rep = fixed_point_solve(f0, c, space, tol=1e-12, max_iter=60)
+    rates = [row[2] for row in rep.history if np.isfinite(row[2])]
     rate_ok = all(r <= 0.55 for r in rates)
     report(
         6,

@@ -89,6 +89,32 @@ def read_csv_rows(path):
     return header, rows
 
 
+def test_picard_iterations_csv_is_the_report_history(tmp_path, monkeypatch):
+    import torusfp.cli as cli
+
+    reports = []
+    solve = cli.fixed_point_solve
+
+    def recording(*args, **kwargs):
+        traj, report = solve(*args, **kwargs)
+        reports.append(report)
+        return traj, report
+
+    monkeypatch.setattr(cli, "fixed_point_solve", recording)
+    cfg = Path(__file__).parents[1] / "configs" / "variable-temperature.ini"
+    out = tmp_path / "out"
+    assert main(["picard", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    (report,) = reports
+    assert report.iterations == len(report.history) >= 2  # V != 0: no implied row
+    lines = (out / "picard_iterations.csv").read_text().splitlines()
+    assert lines[1] == "iteration,residual,ratio,min_f,max_f"
+    rows = [tuple(float(v) for v in line.split(",")) for line in lines[2:]]
+    assert np.array_equal(rows, report.history, equal_nan=True)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["iterations"] == report.iterations
+    assert manifest["final_residual"] == report.history[-1][1]
+
+
 def test_simulate_success(tmp_path, capsys):
     cfg = write(tmp_path, "heat.ini", HEAT)
     out = tmp_path / "out"

@@ -170,3 +170,39 @@ def test_undefined_mobility_names_pi_and_the_time():
     spec = make_spec(pi="1 + sqrt(0.5 - t)")
     with pytest.raises(UsageError, match=r"pi is undefined on the grid at t=0\.5\d*: sqrt"):
         build_coefficients(spec)
+
+
+def _mismatched_calls():
+    """The seven functions that take a Field or Propagator next to the
+    coefficients, each called with inputs of the 1-D problem and the
+    coefficients ``c`` of another grid."""
+    from torusfp.equilibrium import apriori_bounds, dissipation_rate, free_energy
+    from torusfp.fvsolver import FVConfig, chemical_potential, fv_step, stable_dt
+    from torusfp.kernel import validate_mass_sandwich
+
+    return {
+        "fv_step": lambda f, eq, p, c: fv_step(f, c, 0.0, 0.01, FVConfig()),
+        "stable_dt": lambda f, eq, p, c: stable_dt(f, c, 0.0, FVConfig(stepper="explicit")),
+        "chemical_potential": lambda f, eq, p, c: chemical_potential(f, c),
+        "free_energy": lambda f, eq, p, c: free_energy(f, c),
+        "dissipation_rate": lambda f, eq, p, c: dissipation_rate(f, c),
+        "apriori_bounds": lambda f, eq, p, c: apriori_bounds(f, eq, c),
+        "validate_mass_sandwich": lambda f, eq, p, c: validate_mass_sandwich(p, c),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_mismatched_calls()))
+def test_grid_mismatch_fails_fast(name):
+    # 64 cells on both grids, so nothing but the grid check can tell them apart
+    from torusfp.equilibrium import equilibrium_state
+    from torusfp.grid import integrate
+    from torusfp.kernel import build_propagator
+
+    one = build_coefficients(make_spec(n=64, d="2+cos(2*pi*x1)", phi="0.5*cos(2*pi*x1)"))
+    two = build_coefficients(make_spec(n=8, dim=2))
+    assert one.grid.n_cells == two.grid.n_cells
+    f = Field.from_function(one.grid, lambda x: 1 + 0.5 * np.cos(2 * np.pi * x))
+    eq = equilibrium_state(one, integrate(f))
+    p = build_propagator(one, one.grid, 0.0, 0.01, 4)
+    with pytest.raises(UsageError, match="grid"):
+        _mismatched_calls()[name](f, eq, p, two)

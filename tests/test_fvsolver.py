@@ -3,13 +3,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_spec, sample_f0
+from conftest import make_spec, sample_f0, traced_peak
 
 from torusfp.coeff import build_coefficients
 from torusfp.equilibrium import equilibrium_state, free_energy, integrate
 from torusfp.errors import AssumptionError, NumericsError
 from torusfp.fvsolver import FVConfig, chemical_potential, fv_step, simulate, stable_dt
-from torusfp.grid import Field
+from torusfp.grid import Field, TorusGrid
 
 
 def test_chemical_potential_examples(heat64, cosine128):
@@ -526,3 +526,52 @@ def test_fv_converges_to_picard_in_h():
     # n and 2n share the nodes x_i = i/n
     self_diffs = [float(np.max(np.abs(coarse - fine[::2]))) for coarse, fine in zip(picard, picard[1:])]
     assert np.log2(self_diffs[0] / self_diffs[1]) >= 1.8
+
+
+@pytest.mark.parametrize(
+    "dim, n, t_final, diag_every",
+    [(1, 32, 0.2, 3), (2, 8, 0.5, 2)],  # the last row is off the stride in both
+)
+def test_diagnostics_rows_recompute_from_the_trajectory(dim, n, t_final, diag_every):
+    from torusfp.equilibrium import dissipation_rate
+    from torusfp.fvsolver import DiagnosticsRow
+
+    spec = make_spec(
+        n=n, dim=dim, d="2+cos(2*pi*x1)", pi=f"1+0.2*sin(2*pi*(x{dim}+t))",
+        phi="0.3*cos(2*pi*x1)", f0="1+0.3*cos(2*pi*x1)", t_final=t_final,
+    )
+    res = simulate(spec, FVConfig(diag_every=diag_every))
+    c = build_coefficients(spec)
+    times, frames = res.trajectory.times, res.trajectory.frames
+    energies = [free_energy(fr, c) for fr in frames]
+    expected = [
+        DiagnosticsRow(
+            t, integrate(fr), fe, dissipation_rate(fr, c, t), float(slope),
+            float(np.min(fr.values)), float(np.max(fr.values)),
+            float(np.max(np.abs(fr.values - res.equilibrium.f_eq.values))),
+        )
+        for t, fr, fe, slope in zip(times, frames, energies, np.gradient(energies, times))
+    ]
+    assert len(res.rows) == 4 and times[0] == 0.0 and times[-1] == pytest.approx(t_final)
+    assert res.rows == expected
+
+
+def test_oversized_simulate_record_is_refused_before_any_step(monkeypatch):
+    import re
+
+    import torusfp.fvsolver as fv
+    import torusfp.kernel as kernel
+    from torusfp.errors import UsageError
+
+    spec = make_spec(n=64, phi="0.5*cos(2*pi*x1)", f0="1+0.3*cos(2*pi*x1)", t_final=2.0)
+    cfg = FVConfig(diag_every=1)
+    # f0 plus one row per step of dt = 0.9/64, and the workspace allowance
+    estimate = kernel._frames_bytes(TorusGrid(1, 64), 1 + 143 + 64)
+    assert len(simulate(spec, cfg).rows) == 1 + 143
+    peak = traced_peak(lambda: simulate(spec, cfg))
+    assert peak <= estimate <= 3 * peak
+
+    monkeypatch.setattr(kernel, "_physical_memory", lambda: estimate - 1)
+    monkeypatch.setattr(fv, "_step", lambda *args: pytest.fail("stepped first"))
+    with pytest.raises(UsageError, match=re.escape(f"needs about {estimate / 2**30:.3g} GiB")):
+        simulate(spec, cfg)

@@ -126,6 +126,25 @@ def test_gradient_and_divergence_match_roll_formulas(dim, n, rng):
     assert np.array_equal(divergence(VectorField(g, comps)).values, expected)
 
 
+@pytest.mark.parametrize("dim, n", [(1, 16), (2, 8)])
+def test_gradient_and_divergence_keep_the_signed_zeros_of_roll_formulas(dim, n):
+    # array_equal treats -0.0 and 0.0 as equal; the bytes do not
+    g = TorusGrid(dim, n)
+    pattern = np.array([0.0, -0.0, -0.0, 1.5, 0.0, -2.0, 0.0])
+    signed = [np.resize(np.roll(pattern, k), g.n_cells) for k in range(dim + 1)]
+    f = Field(g, signed[0])
+    for axis in range(dim):
+        assert gradient(f).components[axis].tobytes() == _roll_central(f.values, g, axis).tobytes()
+    comps = tuple(signed[1:])
+    terms = [_roll_central(comp, g, axis) for axis, comp in enumerate(comps)]
+    # each term holds -0.0 entries, which the sum from +0.0 turns into +0.0
+    assert all(np.any((t == 0) & np.signbit(t)) for t in terms)
+    expected = np.zeros(g.n_cells)
+    for term in terms:
+        expected += term
+    assert divergence(VectorField(g, comps)).values.tobytes() == expected.tobytes()
+
+
 def test_divergence_zero_field():
     g = TorusGrid(1, 32)
     z = VectorField(g, (np.zeros(32),))

@@ -1,11 +1,9 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_spec
+from conftest import make_spec, traced_peak
 from oracles import kernel_y_gradient, periodized_heat_kernel
 
 import torusfp.kernel as kernel
@@ -317,22 +315,13 @@ def test_frozen_mobility_is_the_t0_sample():
         assert np.array_equal(got, want)
 
 
-def _traced_peak(fn) -> int:
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_memory_estimates_cover_the_dense_temporaries():
     # each estimate is an upper bound on the traced peak, and a tight one
     for dim, n in [(1, 64), (2, 8)]:
         c = build_coefficients(make_spec(n=n, dim=dim))
-        peak = _traced_peak(lambda: kernel._integral_constants(c, c.grid, [0.0, 0.005, 0.01], 64, 0.5))
+        peak = traced_peak(lambda: kernel._integral_constants(c, c.grid, [0.0, 0.005, 0.01], 64, 0.5))
         assert peak <= kernel._integral_bounds_bytes(c.grid) <= 3 * peak
-        peak = _traced_peak(lambda: fit_duhamel_constant(c, c.grid))
+        peak = traced_peak(lambda: fit_duhamel_constant(c, c.grid))
         assert peak <= kernel._duhamel_fit_bytes(c.grid) <= 3 * peak
     # kernel-validate on a 2-D n=8 grid refines to n=16 (N = 256 cells)
     assert kernel._integral_bounds_bytes(TorusGrid(2, 16)) < 2**30
@@ -530,8 +519,8 @@ def test_streamed_consumers_hold_no_ladder(monkeypatch):
     for substeps in (16, 64):
         monkeypatch.setattr(kernel, "_DUHAMEL_SUBSTEPS", substeps)
         peaks.append((
-            _traced_peak(lambda: kernel._integral_constants(c, c.grid, [0.0, 0.005, 0.01], substeps, 0.5)),
-            _traced_peak(lambda: fit_duhamel_constant(c, c.grid)),
+            traced_peak(lambda: kernel._integral_constants(c, c.grid, [0.0, 0.005, 0.01], substeps, 0.5)),
+            traced_peak(lambda: fit_duhamel_constant(c, c.grid)),
         ))
     for few, many in zip(*peaks):
         assert many <= 1.1 * few

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_spec, sample_f0
+from conftest import make_spec, sample_f0, traced_peak
 from oracles import (
     frame_source,
     kernel_y_gradient,
@@ -16,6 +17,7 @@ from oracles import (
     rhs_expanded_form,
 )
 
+from torusfp import picard
 from torusfp.coeff import build_coefficients, sample_initial_data
 from torusfp.config import load_config
 from torusfp.errors import AssumptionError, NumericsError, UsageError
@@ -224,9 +226,8 @@ def test_iterates_stay_in_y(cosine_d64):
     spec, c = cosine_d64
     f0 = sample_f0(spec)
     space = picard_space(f0, c)
-    log: list = []
-    fixed_point_solve(f0, c, space, tol=1e-12, max_iter=60, iteration_log=log)
-    for _, _, _, vmin, vmax in log:
+    _, rep = fixed_point_solve(f0, c, space, tol=1e-12, max_iter=60)
+    for _, _, _, vmin, vmax in rep.history:
         assert vmin >= space.mu - 1e-10
         assert vmax <= space.R + 1e-10
 
@@ -637,3 +638,105 @@ def test_advance_calls_per_picard_iteration(monkeypatch, pi, per_iteration):
     _, report = fixed_point_solve(f0, c, space, nt=nt)
     assert report.iterations >= 2
     assert len(calls) == report.iterations * per_iteration(nt)
+
+
+def _cosine_f0(grid):
+    return Field.from_function(grid, lambda x: 1 + 0.5 * np.cos(2 * np.pi * x))
+
+
+def test_picard_iterate_leaving_y_is_a_numerical_failure():
+    spec = make_spec(n=64, d="1.2+cos(6*pi*x1)", f0="1+0.9*cos(2*pi*x1)")
+    c = build_coefficients(spec)
+    f0 = sample_f0(spec)
+    space = replace(picard_space(f0, c), mu=1e-9, R=1e9, T=0.01)
+    with pytest.raises(NumericsError, match="exits Y at iteration 1:"):
+        fixed_point_solve(f0, c, space, nt=8)
+
+
+def test_picard_iteration_that_does_not_converge_is_a_numerical_failure():
+    run = load_config(Path(__file__).parents[1] / "configs" / "variable-temperature.ini")
+    c = build_coefficients(run.problem)
+    f0 = sample_initial_data(run.problem)
+    space = replace(picard_space(f0, c), T=1e-3)
+    with pytest.raises(NumericsError, match="did not converge in 2 iterations"):
+        fixed_point_solve(f0, c, space, max_iter=2)
+
+
+def test_three_rising_differences_stop_the_picard_iteration(cosine_d64, monkeypatch):
+    spec, c = cosine_d64
+    f0 = sample_f0(spec)
+    space = picard_space(f0, c)
+    calls = []
+
+    def doubling(fvals, *args):
+        # the k-th image moves every value by 1e-6 * 2^k, so each difference doubles
+        calls.append(len(calls) + 1)
+        return fvals + 1e-6 * 2.0 ** calls[-1]
+
+    monkeypatch.setattr(picard, "_psi_values", doubling)
+    with pytest.raises(NumericsError, match="not contracting for 3 consecutive steps"):
+        fixed_point_solve(f0, c, space, max_iter=40)
+    assert calls == [1, 2, 3, 4]  # ratios nan, 2, 2, 2
+
+
+def test_linear_picard_iteration_counts_the_implied_zero_difference(heat64):
+    # V = 0: the map ignores the iterate, so the second difference is exactly 0
+    _, c = heat64
+    f0 = _cosine_f0(c.grid)
+    _, rep = fixed_point_solve(f0, c, picard_space(f0, c))
+    assert rep.iterations == 2
+    assert rep.final_residual == 0.0 and rep.empirical_contraction == 0.0
+    ((iteration, residual, ratio, vmin, vmax),) = rep.history
+    assert iteration == 1 and residual > 1e-8 and math.isnan(ratio) and 0 < vmin < vmax
+
+
+def test_nonlinear_picard_report_comes_from_its_history(cosine_d64):
+    spec, c = cosine_d64
+    f0 = sample_f0(spec)
+    space = replace(picard_space(f0, c), T=1e-4)  # five iterations
+    traj, rep = fixed_point_solve(f0, c, space, tol=1e-12, max_iter=60)
+    assert rep.iterations == len(rep.history) >= 3
+    assert [row[0] for row in rep.history] == list(range(1, rep.iterations + 1))
+    assert rep.final_residual == rep.history[-1][1] <= 1e-12
+    ratios = [b[1] / a[1] for a, b in zip(rep.history, rep.history[1:])]
+    assert [row[2] for row in rep.history[1:]] == ratios
+    assert rep.empirical_contraction == max(ratios)
+    vals = traj.values_matrix()
+    assert rep.history[-1][3:] == (float(np.min(vals)), float(np.max(vals)))
+
+
+def test_oversized_picard_lattices_are_refused_before_any_step(heat64, monkeypatch):
+    import re
+
+    import torusfp.kernel as kernel
+
+    _, c = heat64
+    f0 = _cosine_f0(c.grid)
+    space = picard_space(f0, c)
+    monkeypatch.setattr(kernel, "_physical_memory", lambda: 2**16)
+    monkeypatch.setattr(kernel.ImplicitStepper, "advance", lambda *a: pytest.fail("advanced first"))
+    estimate = picard._lattice_bytes(c.grid, 64)
+    with pytest.raises(UsageError, match=re.escape(f"Picard iteration needs about {estimate / 2**30:.3g} GiB")):
+        fixed_point_solve(f0, c, space, nt=64)
+    # V = 0 here, so global_solve fits no Duhamel constant before its own check
+    estimate = picard._lattice_bytes(c.grid, 16) + kernel._frames_bytes(c.grid, 4 + 1)
+    with pytest.raises(UsageError, match=re.escape(f"global march needs about {estimate / 2**30:.3g} GiB")):
+        global_solve(f0, c, 0.01, nt_per_window=16, num_windows_override=4)
+
+
+def test_picard_memory_estimates_bound_thetraced_peak(heat64):
+    import torusfp.kernel as kernel
+
+    for dim, n, d in [(1, 64, "2+cos(2*pi*x1)"), (2, 8, "2+cos(2*pi*x1)*cos(2*pi*x2)")]:
+        spec = make_spec(n=n, dim=dim, d=d, f0="1+0.25*cos(2*pi*x1)")
+        c = build_coefficients(spec)
+        f0 = sample_f0(spec)
+        space = picard_space(f0, c)
+        peak = traced_peak(lambda: fixed_point_solve(f0, c, space, tol=1e-10, nt=64))
+        assert peak <= picard._lattice_bytes(c.grid, 64) <= 3 * peak
+    # the march on the heat problem: one window's lattice and the seams
+    _, c = heat64
+    f0 = _cosine_f0(c.grid)
+    peak = traced_peak(lambda: global_solve(f0, c, 0.01, nt_per_window=16, num_windows_override=200))
+    estimate = picard._lattice_bytes(c.grid, 16) + kernel._frames_bytes(c.grid, 200 + 1)
+    assert peak <= estimate <= 3 * peak
